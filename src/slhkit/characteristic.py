@@ -8,6 +8,14 @@ an n x n matrix of m x m plant operators.  It is unitary on the imaginary
 axis wherever i*omega lies in the resolvent set of K.  Two alternative
 evaluations exist for cross-validation: the all-pass form built from
 Sigma(s) = L (s + iH)^-1 L*, and the Stratonovich-coefficient form.
+
+Single points go through a condition-guarded LU of (s - K).  A direct
+sweep instead factors K once, K = Z T Z* with T upper triangular (Laub's
+Schur-form frequency response, IEEE TAC 26(2), 1981), and solves each
+point against (s - T): one triangular solve per point, guarded by a LAPACK
+1-norm condition estimate of the triangular factor.  The Schur form is
+taken per strongly connected component of K's nonzero pattern, so entries
+that are exactly zero in every point's result stay exactly zero.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrcon
 
 from .errors import ResolventSingular, ShapeError, SingularMatrix
 from .model import BlockOperatorMatrix, SLHModel, k_operator
@@ -24,32 +34,38 @@ from .operators import (
     dagger,
     inverse,
     max_abs,
+    solve,
 )
 
 
-def resolvent_inverse(M, s, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """(sI - M)^-1 with ResolventSingular on failure."""
+def resolvent_solve(M, s, B=None, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """(sI - M)^-1 B, or (sI - M)^-1 when B is None; ResolventSingular on failure."""
     M = np.asarray(M, dtype=complex)
+    A = s * np.eye(M.shape[0]) - M
     try:
-        return inverse(s * np.eye(M.shape[0]) - M, cond_limit)
+        return inverse(A, cond_limit) if B is None else solve(A, B, cond_limit)
     except SingularMatrix as exc:
         raise ResolventSingular(s, cond_estimate=exc.cond_estimate) from None
 
 
-def char_op(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
-    """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
-    R = resolvent_inverse(k_operator(model), s, cond_limit)
-    T = model.S - model.L @ R @ dagger(model.L) @ model.S
+def _char_block(model: SLHModel, data) -> BlockOperatorMatrix:
+    """Wrap an nm x nm matrix as a characteristic operator of ``model``."""
     return BlockOperatorMatrix(
-        data=T, block_dim=model.dim,
+        data=data, block_dim=model.dim,
         n_blocks_row=model.n_inputs, n_blocks_col=model.n_inputs,
         kind="char_op",
     )
 
 
+def char_op(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+    """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
+    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S, cond_limit)
+    return _char_block(model, model.S - model.L @ X)
+
+
 def sigma_kernel(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
-    R = resolvent_inverse(-1j * model.H, s, cond_limit)
+    R = resolvent_solve(-1j * model.H, s, None, cond_limit)
     return BlockOperatorMatrix(
         data=model.L @ R @ dagger(model.L),
         block_dim=model.dim,
@@ -68,12 +84,7 @@ def char_op_allpass(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) 
     except SingularMatrix as exc:
         raise ResolventSingular(s, "(1 + Sigma/2) not invertible",
                                 cond_estimate=exc.cond_estimate) from None
-    T = (I - 0.5 * Sig) @ denom @ model.S
-    return BlockOperatorMatrix(
-        data=T, block_dim=model.dim,
-        n_blocks_row=model.n_inputs, n_blocks_col=model.n_inputs,
-        kind="char_op",
-    )
+    return _char_block(model, (I - 0.5 * Sig) @ denom @ model.S)
 
 
 def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
@@ -84,7 +95,7 @@ def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> B
     transform of Ell, i.e. the scattering matrix.
     """
     E00 = coeffs.E00
-    R = resolvent_inverse(-1j * E00, s, cond_limit)
+    R = resolvent_solve(-1j * E00, s, None, cond_limit)
     X = 0.5j * coeffs.Ell + 0.5 * coeffs.El0 @ R @ coeffs.E0l
     nm = X.shape[0]
     I = np.eye(nm, dtype=complex)
@@ -104,7 +115,7 @@ def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> B
 def transfer_function(abcd_matrices, s, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     """Classical transfer function T(s) = D + C (sI - A)^-1 B."""
     A, B, C, D = (np.asarray(M, dtype=complex) for M in abcd_matrices)
-    R = resolvent_inverse(A, s, cond_limit)
+    R = resolvent_solve(A, s, None, cond_limit)
     return D + C @ R @ B
 
 
@@ -170,18 +181,14 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s,
         raise ShapeError("V must act on the plant space")
     if order < 0:
         raise ShapeError("order must be >= 0")
-    R0 = resolvent_inverse(k_operator(model0), s, cond_limit)
+    R0 = resolvent_solve(k_operator(model0), s, None, cond_limit)
     LS = dagger(model0.L) @ model0.S
     T = model0.S - model0.L @ R0 @ LS
     W = R0
     for q in range(1, order + 1):
         W = W @ V @ R0
         T = T - (-1j * lam) ** q * (model0.L @ W @ LS)
-    return BlockOperatorMatrix(
-        data=T, block_dim=model0.dim,
-        n_blocks_row=model0.n_inputs, n_blocks_col=model0.n_inputs,
-        kind="char_op",
-    )
+    return _char_block(model0, T)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +239,66 @@ class SweepResult:
 _SWEEP_METHODS = ("direct", "allpass", "stratonovich")
 
 
+def _block_schur(K):
+    """Complex Schur form K = Z T Z*, one diagonal block per strong component.
+
+    Index i links to j when K[i, j] != 0.  Ordering the strongly connected
+    components of these links so that every link points forward makes K
+    block upper triangular; each diagonal block gets its own Schur factor.
+    So ``Z`` is a permutation times a block-diagonal unitary, and entries
+    that are exactly zero in every T(s) of the model stay exactly zero when
+    T(s) is computed from ``T`` and ``Z``.
+    """
+    K = np.asarray(K, dtype=complex)
+    m = K.shape[0]
+    reach = (K != 0) | np.eye(m, dtype=bool)
+    while True:  # transitive closure by repeated squaring
+        closed = (reach.astype(float) @ reach) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    component = (reach & reach.T).argmax(axis=1)  # lowest index in the component
+    # a component reaches strictly more indices than any component it links to
+    order = np.lexsort((component, -reach.sum(axis=1)))
+    Z = np.zeros((m, m), dtype=complex)
+    diagonal = []
+    for cols in np.split(np.arange(m), np.flatnonzero(np.diff(component[order])) + 1):
+        rows = order[cols]
+        T_c, Z[np.ix_(rows, cols)] = scipy.linalg.schur(K[np.ix_(rows, rows)],
+                                                        output="complex")
+        diagonal.append((np.ix_(cols, cols), T_c))
+    T = np.triu(dagger(Z) @ K @ Z)
+    for block, T_c in diagonal:
+        T[block] = T_c
+    return T, Z
+
+
+def _schur_char_op(model: SLHModel, cond_limit: float):
+    """s -> T(s) against one Schur factor of K: S - (L Z)(s - T)^-1 (Z* L* S)."""
+    T, Z = _block_schur(k_operator(model))
+    LZ = model.L @ Z
+    W = dagger(Z) @ (dagger(model.L) @ model.S)
+    I = np.eye(T.shape[0])
+
+    def evaluate(s):
+        A = s * I - T
+        rcond, _ = ztrcon(A, norm="1")
+        cond = 1.0 / rcond if rcond > 0 else np.inf
+        if not cond <= cond_limit:
+            raise ResolventSingular(s, cond_estimate=cond)
+        X = scipy.linalg.solve_triangular(A, W, check_finite=False)
+        return _char_block(model, model.S - LZ @ X)
+
+    return evaluate
+
+
 def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct",
           cond_limit: float = DEFAULT_COND_LIMIT) -> SweepResult:
-    """Evaluate T over a grid; singular points are recorded, not fatal."""
+    """Evaluate T over a grid; singular points are recorded, not fatal.
+
+    ``method="direct"`` factors K once (see the module docstring); the
+    all-pass and Stratonovich routes evaluate each point independently.
+    """
     if method not in _SWEEP_METHODS:
         raise ShapeError(f"method must be one of {_SWEEP_METHODS}")
     if method == "stratonovich":
@@ -244,7 +308,7 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct",
     elif method == "allpass":
         evaluate = lambda s: char_op_allpass(model, s, cond_limit)
     else:
-        evaluate = lambda s: char_op(model, s, cond_limit)
+        evaluate = _schur_char_op(model, cond_limit)
 
     values = []
     residuals = []

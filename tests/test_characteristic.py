@@ -3,6 +3,7 @@ perturbation series, and the covariance/invariance properties."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from slhkit import (
     FrequencyGrid,
@@ -23,12 +24,15 @@ from slhkit import (
     perturbation_series,
     rotate,
     coefficients_from_parts,
+    series_product,
     sweep,
     transfer_function,
     unitarity_check,
     vacuum_expectation_char,
 )
 from slhkit import zoo
+from slhkit.characteristic import _block_schur, _schur_char_op
+from slhkit.operators import DEFAULT_COND_LIMIT
 from conftest import random_model, random_unitary
 
 
@@ -249,8 +253,95 @@ def test_cascade_characteristic_operator_not_multiplicative():
     # pinned witness pair: characteristic operators do not tensor-multiply
     B = zoo.build("thermal_qubit", gamma=1.0, n=0.0, omega=0.5)
     A = zoo.build("thermal_qubit", gamma=0.6, n=0.3, omega=-0.2)
-    from slhkit import series_product
     s = 1.0
     T_casc = char_op(series_product(B, A), s).data
     T_tensor = kron(char_op(B, s).data, char_op(A, s).data)
     assert max_abs(T_casc - T_tensor) > 0.01
+
+
+# ---------------------------------------------------------------------------
+# The factor-once sweep engine against pointwise evaluation.
+# ---------------------------------------------------------------------------
+
+
+def _assert_sweep_matches_char_op(model, grid, same_zeros=False):
+    res = sweep(model, grid, method="direct")
+    failed_pointwise = []
+    for point, s, value in zip(grid.points, grid.s_values(), res.values):
+        try:
+            T = char_op(model, s).data
+        except ResolventSingular:
+            failed_pointwise.append(float(point))
+            continue
+        assert value is not None
+        assert max_abs(value.data - T) <= 1e-12
+        if same_zeros:
+            assert np.array_equal(value.data == 0, T == 0)
+        else:  # no exact zero of the pointwise route is lost
+            assert not np.any((T == 0) & (value.data != 0))
+    assert [p for p, _ in res.failures] == failed_pointwise
+    finite = [r for r in res.unitarity_residuals if not np.isnan(r)]
+    assert len(finite) == len(grid.points) - res.n_failed
+    assert max(finite) <= 1e-9
+    return res
+
+
+def test_direct_sweep_matches_pointwise_char_op_random_ensembles():
+    rng = np.random.default_rng(4401)
+    grid = FrequencyGrid(axis="imaginary", points=np.linspace(-4.0, 4.0, 17))
+    for n in (1, 2, 3):
+        for m in range(2, 7):
+            for _ in range(3):
+                _assert_sweep_matches_char_op(random_model(rng, n, m), grid)
+
+
+def _cascade():
+    """The optomech -> cavity cascade (m = 45), whose K has interleaved components."""
+    return series_product(
+        zoo.build("optomech", gamma=0.8, delta=0.2, g=0.3,
+                  n_max_cavity=2, n_max_mirror=4),
+        zoo.build("linear_passive", gamma=1.2, delta=-0.5, n_max=2),
+    )
+
+
+def test_direct_sweep_matches_pointwise_char_op_structured_models():
+    optomech = zoo.build("optomech", gamma=1.0, delta=0.3, g=0.25,
+                         n_max_cavity=10, n_max_mirror=10)
+    assert optomech.dim == 121
+    # the symmetric odd grid hits s = 0, an eigenvalue of K (plant vacuum)
+    grid = FrequencyGrid(axis="imaginary", points=np.linspace(-3.0, 3.0, 21))
+    for model, same_zeros in ((optomech, True), (_cascade(), False)):
+        res = _assert_sweep_matches_char_op(model, grid, same_zeros)
+        assert [p for p, _ in res.failures] == [0.0]
+
+
+def test_block_schur_factors_each_component(rng):
+    optomech = zoo.build("optomech", gamma=1.0, delta=0.4, g=0.3,
+                         n_max_cavity=4, n_max_mirror=6)
+    dense = random_model(rng, 2, 6)
+    for model, several in ((optomech, True), (_cascade(), True), (dense, False)):
+        K = k_operator(model)
+        T, Z = _block_schur(K)
+        assert np.array_equal(T, np.triu(T))
+        assert max_abs(dagger(Z) @ Z - identity(K.shape[0])) <= 1e-13
+        assert max_abs(Z @ T @ dagger(Z) - K) <= 1e-12 * max_abs(K)
+        # every column of Z lives on one strongly connected component
+        n_comp, comp = connected_components(K != 0, directed=True, connection="strong")
+        assert (n_comp > 1) == several
+        for col in Z.T:
+            assert len(set(comp[np.flatnonzero(col)])) == 1
+
+
+def test_sweep_guard_flags_defective_eigenvalue_of_cascade():
+    # two identical cavities in cascade: the one-photon sector of K is the
+    # Jordan block [[-g/2, 0], [-g, -g/2]], so |(s - K)^-1| grows like 1/eps^2
+    cavity = zoo.build("linear_passive", gamma=1.0, delta=0.0, n_max=2)
+    model = series_product(cavity, cavity)
+    near = -0.5 + 1e-7
+    grid = FrequencyGrid(axis="real", points=np.array([near, 1.0]))
+    res = sweep(model, grid)
+    assert [p for p, _ in res.failures] == [near]
+    assert res.values[0] is None and res.values[1] is not None
+    with pytest.raises(ResolventSingular) as info:
+        _schur_char_op(model, DEFAULT_COND_LIMIT)(near)
+    assert info.value.cond_estimate > DEFAULT_COND_LIMIT
