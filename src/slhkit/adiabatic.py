@@ -12,12 +12,15 @@ The generator decomposes as K(k) = k^2 A + k Z + R with A supported on the
 fast-fast block.  As k grows the characteristic operator converges to a
 limit model whose coefficients are Schur complements in A_ff; the limit is
 always computed from those closed forms, never by extrapolating finite k.
+The slow-first permutation, the blocks A, Z, R and the structural residuals
+are derived once per family object and shared by every routine here.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import (
     AssumptionViolated,
     BadParam,
     InvalidFamily,
+    ResolventSingular,
     ShapeError,
     SingularMatrix,
 )
@@ -89,59 +93,67 @@ class ScaledSLHFamily:
     def n_inputs(self) -> int:
         return self.L0.shape[0] // self.dim
 
-
-def _family_permutations(family: ScaledSLHFamily):
-    """Permutations bringing plant (and stacked) indices to slow-first order."""
-    perm_m = family.partition.perm
-    m = family.dim
-    perm_nm = np.concatenate([i * m + perm_m for i in range(family.n_inputs)])
-    return perm_m, perm_nm
+    @cached_property
+    def _slow_first(self) -> _SlowFirst:
+        # The fields are read-only arrays, so the view never goes stale.
+        return _SlowFirst(self)
 
 
-class _PermutedFamily:
-    """Family matrices reordered so the slow block is the leading one."""
+class _SlowFirst:
+    """A family's slow-first data, derived once and read-only.
+
+    Holds the permutations, the family matrices reordered so the slow block
+    leads, K(k) = k^2 A + k Z + R in that order, the structural and
+    Hermiticity residuals, and the condition estimate of A_ff.
+    """
 
     def __init__(self, family: ScaledSLHFamily):
-        perm_m, perm_nm = _family_permutations(family)
-        self.ms = family.partition.n_slow
-        self.mf = family.partition.n_fast
-        self.m = family.dim
-        self.n = family.n_inputs
-        self.perm_m = perm_m
-        self.perm_nm = perm_nm
+        part = family.partition
+        self.m, self.n, self.ms = family.dim, family.n_inputs, part.n_slow
+        self.sl, self.fa = slice(0, self.ms), slice(self.ms, self.m)
+        perm_m = part.perm
+        perm_nm = np.concatenate([i * self.m + perm_m for i in range(self.n)])
+        self.inv_m, self.inv_nm = np.argsort(perm_m), np.argsort(perm_nm)
         self.S = family.S[np.ix_(perm_nm, perm_nm)]
         self.L0 = family.L0[np.ix_(perm_nm, perm_m)]
         self.L1 = family.L1[np.ix_(perm_nm, perm_m)]
         self.H0 = family.H0[np.ix_(perm_m, perm_m)]
         self.H1 = family.H1[np.ix_(perm_m, perm_m)]
         self.H2 = family.H2[np.ix_(perm_m, perm_m)]
-        self.sl = slice(0, self.ms)
-        self.fa = slice(self.ms, self.m)
+        self.A = -0.5 * dagger(self.L1) @ self.L1 - 1j * self.H2
+        self.Z = (-0.5 * (dagger(self.L1) @ self.L0 + dagger(self.L0) @ self.L1)
+                  - 1j * self.H1)
+        self.R = -0.5 * dagger(self.L0) @ self.L0 - 1j * self.H0
+        for M in (self.S, self.L0, self.L1, self.H0, self.H1, self.H2,
+                  self.A, self.Z, self.R):
+            M.setflags(write=False)
+        sl, fa = self.sl, self.fa
+        self.structural = {
+            "L1_slow_columns": max_abs(self.L1[:, sl]),
+            "H1_ss": max_abs(self.H1[sl, sl]),
+            "H2_ss": max_abs(self.H2[sl, sl]),
+            "H2_sf": max_abs(self.H2[sl, fa]),
+            "H2_fs": max_abs(self.H2[fa, sl]),
+        }
+        self.hermiticity = {
+            name: is_hermitian(M)[1]
+            for name, M in (("H0", family.H0), ("H1", family.H1), ("H2", family.H2))
+        }
+        self.aff_condition = condition_estimate(self.A[fa, fa])
 
     def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
-        inv = np.argsort(self.perm_m)
-        return X[np.ix_(inv, inv)]
+        return X[np.ix_(self.inv_m, self.inv_m)]
 
     def unpermute_stacked(self, X: np.ndarray) -> np.ndarray:
-        inv_r = np.argsort(self.perm_nm)
-        inv_c = np.argsort(self.perm_m)
-        return X[np.ix_(inv_r, inv_c)]
+        return X[np.ix_(self.inv_nm, self.inv_m)]
 
     def unpermute_full(self, X: np.ndarray) -> np.ndarray:
-        inv = np.argsort(self.perm_nm)
-        return X[np.ix_(inv, inv)]
+        return X[np.ix_(self.inv_nm, self.inv_nm)]
 
 
 def structural_residuals(family: ScaledSLHFamily) -> dict:
     """Max-abs residuals of the required block sparsity patterns."""
-    p = _PermutedFamily(family)
-    return {
-        "L1_slow_columns": max_abs(p.L1[:, p.sl]),
-        "H1_ss": max_abs(p.H1[p.sl, p.sl]),
-        "H2_ss": max_abs(p.H2[p.sl, p.sl]),
-        "H2_sf": max_abs(p.H2[p.sl, p.fa]),
-        "H2_fs": max_abs(p.H2[p.fa, p.sl]),
-    }
+    return dict(family._slow_first.structural)
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,7 @@ class KZRDecomposition:
     partition: BlockPartition
 
     def identity_residuals(self, family: ScaledSLHFamily) -> dict:
-        p = _PermutedFamily(family)
+        p = family._slow_first
         L0s, L1f = p.L0[:, p.sl], p.L1[:, p.fa]
         return {
             "R_ss": max_abs(self.R_ss + dagger(self.R_ss) + dagger(L0s) @ L0s),
@@ -176,15 +188,16 @@ class KZRDecomposition:
         }
 
 
-def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL):
-    res = structural_residuals(family)
-    bad = {k: v for k, v in res.items() if v > tol}
+def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
+    """The family's slow-first view, once its structure and Hermiticity hold."""
+    p = family._slow_first
+    bad = {k: v for k, v in p.structural.items() if v > tol}
     if bad:
         raise InvalidFamily(f"family violates its block structure: {bad}")
-    for name, M in (("H0", family.H0), ("H1", family.H1), ("H2", family.H2)):
-        ok, r = is_hermitian(M, tol)
-        if not ok:
+    for name, r in p.hermiticity.items():
+        if r > tol:
             raise InvalidFamily(f"{name} is not Hermitian: residual {r:.3e}")
+    return p
 
 
 def assemble_k(family: ScaledSLHFamily, k: float) -> SLHModel:
@@ -199,19 +212,15 @@ def assemble_k(family: ScaledSLHFamily, k: float) -> SLHModel:
 
 def kzr_decompose(family: ScaledSLHFamily) -> KZRDecomposition:
     """Split K(k) = k^2 A + k Z + R along the slow/fast blocks."""
-    _require_structure(family)
-    p = _PermutedFamily(family)
-    A_perm = -0.5 * dagger(p.L1) @ p.L1 - 1j * p.H2
-    Z_perm = -0.5 * (dagger(p.L1) @ p.L0 + dagger(p.L0) @ p.L1) - 1j * p.H1
-    R_perm = -0.5 * dagger(p.L0) @ p.L0 - 1j * p.H0
+    p = _require_structure(family)
     return KZRDecomposition(
-        A=p.unpermute_plant(A_perm),
-        Z=p.unpermute_plant(Z_perm),
-        R=p.unpermute_plant(R_perm),
-        A_ff=A_perm[p.fa, p.fa],
-        Z_sf=Z_perm[p.sl, p.fa],
-        Z_fs=Z_perm[p.fa, p.sl],
-        R_ss=R_perm[p.sl, p.sl],
+        A=p.unpermute_plant(p.A),
+        Z=p.unpermute_plant(p.Z),
+        R=p.unpermute_plant(p.R),
+        A_ff=p.A[p.fa, p.fa],
+        Z_sf=p.Z[p.sl, p.fa],
+        Z_fs=p.Z[p.fa, p.sl],
+        R_ss=p.R[p.sl, p.sl],
         partition=family.partition,
     )
 
@@ -239,15 +248,9 @@ class AssumptionReport:
 
 def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> AssumptionReport:
     """Report on structure, Hermiticity, S unitarity, and A_ff invertibility."""
-    structural = structural_residuals(family)
-    hermiticity = {
-        name: is_hermitian(M, tol)[1]
-        for name, M in (("H0", family.H0), ("H1", family.H1), ("H2", family.H2))
-    }
+    p = family._slow_first
     _, s_res = is_unitary(family.S, tol)
-    p = _PermutedFamily(family)
-    A_ff = (-0.5 * dagger(p.L1) @ p.L1 - 1j * p.H2)[p.fa, p.fa]
-    cond = condition_estimate(A_ff)
+    cond = p.aff_condition
     invertible = np.isfinite(cond) and cond <= AFF_COND_LIMIT
     msgs = []
     if invertible and cond > AFF_COND_WARN:
@@ -255,15 +258,13 @@ def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> Assum
         warnings.warn(msgs[-1], RuntimeWarning, stacklevel=2)
     if not invertible:
         msgs.append(f"A_ff is not invertible (condition estimate {cond:.3e})")
-    kzr = None
     try:
-        kzr = kzr_decompose(family)
+        identities = kzr_decompose(family).identity_residuals(family)
     except InvalidFamily:
-        pass
-    identities = kzr.identity_residuals(family) if kzr is not None else {}
+        identities = {}
     return AssumptionReport(
-        structural=structural,
-        hermiticity=hermiticity,
+        structural=dict(p.structural),
+        hermiticity=dict(p.hermiticity),
         s_unitarity=s_res,
         aff_condition=cond,
         aff_invertible=bool(invertible),
@@ -272,14 +273,15 @@ def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> Assum
     )
 
 
-def _require_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> AssumptionReport:
+def _require_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
+    """The family's slow-first view, once it passes the limit assumptions."""
     report = check_assumptions(family, tol)
     if not report.passed(tol):
         raise AssumptionViolated(
             "family fails the limit assumptions: "
             f"structural={report.structural}, A_ff condition={report.aff_condition:.3e}"
         )
-    return report
+    return family._slow_first
 
 
 def scaled_resolvent_limit(M11, M12, M21, M22, s,
@@ -324,20 +326,6 @@ def finite_k_scaled_resolvent(M11, M12, M21, M22, s, k: float,
     return D @ R @ D
 
 
-def _limit_pieces(family: ScaledSLHFamily, cond_limit: float = DEFAULT_COND_LIMIT):
-    """Schur-complement ingredients of the limit, in permuted (slow-first) order."""
-    p = _PermutedFamily(family)
-    A_ff = (-0.5 * dagger(p.L1) @ p.L1 - 1j * p.H2)[p.fa, p.fa]
-    Z = -0.5 * (dagger(p.L1) @ p.L0 + dagger(p.L0) @ p.L1) - 1j * p.H1
-    R = -0.5 * dagger(p.L0) @ p.L0 - 1j * p.H0
-    Aff_inv = inverse(A_ff, min(cond_limit, AFF_COND_LIMIT))
-    Z_sf, Z_fs, R_ss = Z[p.sl, p.fa], Z[p.fa, p.sl], R[p.sl, p.sl]
-    Khat_ss = R_ss - Z_sf @ Aff_inv @ Z_fs
-    L0s = p.L0[:, p.sl]
-    L1f = p.L1[:, p.fa]
-    return p, A_ff, Aff_inv, Z_sf, Z_fs, R_ss, Khat_ss, L0s, L1f
-
-
 def limit_char_op(family: ScaledSLHFamily, s,
                   cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
     """Limit characteristic operator, evaluated from the scaled-resolvent limit.
@@ -346,21 +334,16 @@ def limit_char_op(family: ScaledSLHFamily, s,
     Dhat is the limit of diag(1,k) (s - K(k))^-1 diag(1,k).  Returned in the
     original basis order.
     """
-    _require_assumptions(family)
-    p, A_ff, _, Z_sf, Z_fs, R_ss, _, L0s, L1f = _limit_pieces(family, cond_limit)
+    p = _require_assumptions(family)
+    sl, fa = p.sl, p.fa
     try:
-        D = scaled_resolvent_limit(-R_ss, -Z_sf, -Z_fs, -A_ff, s, cond_limit)
+        D = scaled_resolvent_limit(-p.R[sl, sl], -p.Z[sl, fa], -p.Z[fa, sl],
+                                   -p.A[fa, fa], s, cond_limit)
     except SingularMatrix as exc:
-        from .errors import ResolventSingular
         raise ResolventSingular(s, "(s - Khat_ss) not invertible",
                                 cond_estimate=exc.cond_estimate) from None
-    ms, mf = p.ms, p.mf
-    Dfull = np.zeros((p.m, p.m), dtype=complex)
-    Dfull[:ms, :ms] = D.X_ss
-    Dfull[:ms, ms:] = D.X_sf
-    Dfull[ms:, :ms] = D.X_fs
-    Dfull[ms:, ms:] = D.X_ff
-    Lred = np.hstack([L0s, L1f])  # nm x m, columns ordered (slow, fast)
+    Dfull = np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]])
+    Lred = np.hstack([p.L0[:, sl], p.L1[:, fa]])  # nm x m, columns ordered (slow, fast)
     T = p.S - Lred @ Dfull @ dagger(Lred) @ p.S
     return BlockOperatorMatrix(
         data=p.unpermute_full(T), block_dim=family.dim,
@@ -406,60 +389,73 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL,
     (Lhat_f = Shat_sf = Shat_fs = 0) and, when decoupled, the reduced slow
     model (Shat_ss, Lhat_s, Hhat_ss).
     """
-    _require_assumptions(family, tol)
-    p, A_ff, Aff_inv, Z_sf, Z_fs, R_ss, Khat_ss, L0s, L1f = _limit_pieces(family, cond_limit)
+    p = _require_assumptions(family, tol)
+    sl, fa = p.sl, p.fa
+    Aff_inv = inverse(p.A[fa, fa], min(cond_limit, AFF_COND_LIMIT))
+    Z_sf, Z_fs = p.Z[sl, fa], p.Z[fa, sl]
+    L0s, L1f = p.L0[:, sl], p.L1[:, fa]
 
     Shat_perm = p.S + L1f @ Aff_inv @ dagger(L1f) @ p.S
     Lhat_slow = L0s - L1f @ Aff_inv @ Z_fs          # nm x ms
-    Hhat_ss = p.H0[p.sl, p.sl] + imag_part(Z_sf @ Aff_inv @ Z_fs)
+    Hhat_ss = p.H0[sl, sl] + imag_part(Z_sf @ Aff_inv @ Z_fs)
 
     # Alternative expanded form; the conjugated resolvents are essential.
-    H1_sf, H1_fs = p.H1[p.sl, p.fa], p.H1[p.fa, p.sl]
-    H2_ff = p.H2[p.fa, p.fa]
+    H1_sf, H1_fs = p.H1[sl, fa], p.H1[fa, sl]
     Aff_inv_star = dagger(Aff_inv)
     Hhat_alt = (
-        p.H0[p.sl, p.sl]
+        p.H0[sl, sl]
         - dagger(Z_fs) @ Aff_inv_star @ H1_fs
         - H1_sf @ Aff_inv @ Z_fs
-        + dagger(Z_fs) @ Aff_inv @ H2_ff @ Aff_inv_star @ Z_fs
+        + dagger(Z_fs) @ Aff_inv @ p.H2[fa, fa] @ Aff_inv_star @ Z_fs
     )
     alt_residual = max_abs(Hhat_ss - Hhat_alt)
 
     Lhat_perm = np.zeros((p.n * p.m, p.m), dtype=complex)
-    Lhat_perm[:, :p.ms] = Lhat_slow
+    Lhat_perm[:, sl] = Lhat_slow
     Hhat_perm = np.zeros((p.m, p.m), dtype=complex)
-    Hhat_perm[:p.ms, :p.ms] = Hhat_ss
-
+    Hhat_perm[sl, sl] = Hhat_ss
     _, shat_res = is_unitary(Shat_perm, tol)
 
-    # Decoupling: no limit transitions may terminate in fast states.
-    slow_rows = np.concatenate([i * p.m + np.arange(p.ms) for i in range(p.n)])
-    fast_rows = np.concatenate([i * p.m + np.arange(p.ms, p.m) for i in range(p.n)])
-    dec_residual = max(
-        max_abs(Lhat_slow[fast_rows, :]),
-        max_abs(Shat_perm[np.ix_(slow_rows, fast_rows)]),
-        max_abs(Shat_perm[np.ix_(fast_rows, slow_rows)]),
-    )
+    Shat = p.unpermute_full(Shat_perm)
+    Lhat = p.unpermute_stacked(Lhat_perm)
+    Hhat = p.unpermute_plant(Hhat_perm)
+    dec_residual = _decoupling_residual(Shat, Lhat, family.partition, p.n)
     decoupled = dec_residual <= tol
-    slow_model = None
-    if decoupled:
-        slow_model = SLHModel(
-            S=Shat_perm[np.ix_(slow_rows, slow_rows)],
-            L=Lhat_slow[slow_rows, :],
-            H=Hhat_ss,
-        )
-
     return LimitModel(
-        Shat=p.unpermute_full(Shat_perm),
-        Lhat=p.unpermute_stacked(Lhat_perm),
-        Hhat=p.unpermute_plant(Hhat_perm),
+        Shat=Shat,
+        Lhat=Lhat,
+        Hhat=Hhat,
         partition=family.partition,
-        n_inputs=family.n_inputs,
+        n_inputs=p.n,
         shat_unitarity=shat_res,
         hhat_alt_residual=alt_residual,
         decoupling_residual=dec_residual,
         decoupled=decoupled,
-        slow_model=slow_model,
+        slow_model=(_slow_block(Shat, Lhat, Hhat, family.partition, p.n)
+                    if decoupled else None),
+    )
+
+
+def _decoupling_residual(Shat, Lhat, part: BlockPartition, n: int) -> float:
+    """Max of |Lhat_f|, |Shat_sf|, |Shat_fs|: limit transitions into fast states."""
+    slow_rows = part.stacked_rows(n, "slow")
+    fast_rows = part.stacked_rows(n, "fast")
+    return max(
+        max_abs(Lhat[fast_rows, :]),
+        max_abs(Lhat[:, list(part.fast_indices)]),
+        max_abs(Shat[np.ix_(slow_rows, fast_rows)]),
+        max_abs(Shat[np.ix_(fast_rows, slow_rows)]),
+    )
+
+
+def _slow_block(Shat, Lhat, Hhat, part: BlockPartition, n: int) -> SLHModel:
+    """The reduced slow model (Shat_ss, Lhat_s, Hhat_ss)."""
+    slow_rows = part.stacked_rows(n, "slow")
+    slow_cols = list(part.slow_indices)
+    return SLHModel(
+        S=Shat[np.ix_(slow_rows, slow_rows)],
+        L=Lhat[np.ix_(slow_rows, slow_cols)],
+        H=Hhat[np.ix_(slow_cols, slow_cols)],
     )
 
 
@@ -469,32 +465,20 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL,
     """Re-examine the decoupling conditions Lhat_f = Shat_sf = Shat_fs = 0.
 
     Returns (decoupled, residual).  When decoupled, the limit characteristic
-    operator is also asserted to be block diagonal, equal to
-    diag(T_slow(s), Shat_ff) at ``s_check``.
+    operator must also be block diagonal, equal to diag(T_slow(s), Shat_ff)
+    at ``s_check``; :class:`AssumptionViolated` is raised when it is not.
     """
     from .characteristic import char_op
 
-    part = limit.partition
-    n = limit.n_inputs
-    slow_rows = part.stacked_rows(n, "slow")
-    fast_rows = part.stacked_rows(n, "fast")
-    slow_cols = np.array(part.slow_indices, dtype=int)
-    fast_cols = np.array(part.fast_indices, dtype=int)
-    residual = max(
-        max_abs(limit.Lhat[np.ix_(fast_rows, slow_cols)]),
-        max_abs(limit.Lhat[:, fast_cols]),
-        max_abs(limit.Shat[np.ix_(slow_rows, fast_rows)]),
-        max_abs(limit.Shat[np.ix_(fast_rows, slow_rows)]),
-    )
+    part, n = limit.partition, limit.n_inputs
+    residual = _decoupling_residual(limit.Shat, limit.Lhat, part, n)
     ok = residual <= tol
     if ok:
         slow_model = limit.slow_model
         if slow_model is None:  # possible when re-checking with a looser tol
-            slow_model = SLHModel(
-                S=limit.Shat[np.ix_(slow_rows, slow_rows)],
-                L=limit.Lhat[np.ix_(slow_rows, slow_cols)],
-                H=limit.Hhat[np.ix_(slow_cols, slow_cols)],
-            )
+            slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part, n)
+        slow_rows = part.stacked_rows(n, "slow")
+        fast_rows = part.stacked_rows(n, "fast")
         T = char_op(limit.as_model(), s_check, cond_limit).data
         T_slow = char_op(slow_model, s_check, cond_limit).data
         block_res = max(
@@ -505,7 +489,7 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL,
                     - limit.Shat[np.ix_(fast_rows, fast_rows)]),
         )
         if block_res > max(tol, 1e-9):
-            raise AssertionError(
+            raise AssumptionViolated(
                 f"decoupled limit is not block diagonal: residual {block_res:.3e}"
             )
     return ok, residual
@@ -524,10 +508,8 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s,
 
     Returned in the original basis order.
     """
-    _require_structure(family)
-    p = _PermutedFamily(family)
-    H2_ff = p.H2[p.fa, p.fa]
-    H2ff_inv = inverse(H2_ff, cond_limit)
+    p = _require_structure(family)
+    H2ff_inv = inverse(p.H2[p.fa, p.fa], cond_limit)
     H1_sf, H1_fs = p.H1[p.sl, p.fa], p.H1[p.fa, p.sl]
     Htil_ss = p.H0[p.sl, p.sl] - H1_sf @ H2ff_inv @ H1_fs
     mid = -1j * H2ff_inv

@@ -53,7 +53,7 @@ def _read(path):
     except OSError as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
-    except modelfile.ModelFileError as exc:
+    except SlhkitError as exc:  # parse errors and invalid matrices or partitions
         click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 

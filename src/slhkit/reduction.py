@@ -57,18 +57,6 @@ class BlockPartition:
         """Permutation placing slow indices first, then fast."""
         return np.array(self.slow_indices + self.fast_indices, dtype=int)
 
-    def projector_slow(self) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in self.slow_indices:
-            P[i, i] = 1.0
-        return P
-
-    def projector_fast(self) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in self.fast_indices:
-            P[i, i] = 1.0
-        return P
-
     def stacked_rows(self, n_inputs: int, which: str) -> np.ndarray:
         """Row indices of one plant block inside an (n*dim)-row stacked matrix."""
         idx = self.slow_indices if which == "slow" else self.fast_indices

@@ -36,10 +36,12 @@ from .errors import (
     ShapeError,
     SingularMatrix,
 )
+from .adiabatic import AFF_COND_LIMIT, scaled_resolvent_limit
 from .model import SLHModel
 from .operators import (
     DEFAULT_COND_LIMIT,
     as_matrix,
+    condition_estimate,
     dagger,
     imag_part,
     inverse,
@@ -208,22 +210,10 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     equals the limit of the direct route (limit_slh / limit_char_op) and is
     returned in the original basis order.
     """
-    from .adiabatic import _family_permutations  # local import, no cycle at module load
-
-    part = family.partition
-    perm_m, perm_nm = _family_permutations(family)
-    m = family.dim
-    nm = family.n_inputs * m
-
-    S = family.S[np.ix_(perm_nm, perm_nm)]
-    L0 = family.L0[np.ix_(perm_nm, perm_m)]
-    L1 = family.L1[np.ix_(perm_nm, perm_m)]
-    H0 = family.H0[np.ix_(perm_m, perm_m)]
-    H1 = family.H1[np.ix_(perm_m, perm_m)]
-    H2 = family.H2[np.ix_(perm_m, perm_m)]
-    ms = part.n_slow
-    sl = slice(0, ms)
-    fa = slice(ms, m)
+    p = family._slow_first
+    S, L0, L1, H0, H1, H2 = p.S, p.L0, p.L1, p.H0, p.H1, p.H2
+    m, n, sl, fa = p.m, p.n, p.sl, p.fa
+    nm = n * m
 
     I = np.eye(nm, dtype=complex)
     try:
@@ -236,7 +226,6 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     Ell = 0.5 * (Ell + dagger(Ell))
 
     # Ell must not couple slow and fast plant sectors (within each input block).
-    n = family.n_inputs
     off = 0.0
     for i in range(n):
         for j in range(n):
@@ -247,7 +236,6 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
             f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
         )
 
-    W = I + 0.5j * Ell
     G1 = -2j * P @ L1   # k-linear part of El0; slow columns vanish with L1's
     G0 = -2j * P @ L0
     # E00(k) = P0 + k P1 + k^2 P2 from E00 = H + (1/4) L* Ell L.
@@ -255,16 +243,12 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     P1 = H1 + 0.25 * (dagger(L1) @ Ell @ L0 + dagger(L0) @ Ell @ L1)
     P0 = H0 + 0.25 * dagger(L0) @ Ell @ L0
 
-    from .operators import condition_estimate
-
     E00ff = P2[fa, fa]
     cond = condition_estimate(E00ff)
-    if not np.isfinite(cond) or cond > 1e10:
+    if not np.isfinite(cond) or cond > AFF_COND_LIMIT:
         raise AssumptionViolated(
             f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
         )
-
-    from .adiabatic import scaled_resolvent_limit
 
     D = scaled_resolvent_limit(
         1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s,
@@ -279,5 +263,4 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
         + G1f @ D.X_ff @ dagger(G1f)
     )
     T = (I - X) @ inverse(I + X, cond_limit)
-    inv_nm = np.argsort(perm_nm)
-    return T[np.ix_(inv_nm, inv_nm)]
+    return p.unpermute_full(T)

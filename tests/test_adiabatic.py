@@ -1,6 +1,8 @@
 """Scaled families: assumptions, KZR split, scaled-resolvent limit, limit
 models, decoupling, the sigma all-pass limit, and convergence studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from slhkit import (
     BadParam,
     BlockPartition,
     InvalidFamily,
+    SLHModel,
     ScaledSLHFamily,
     SingularMatrix,
     assemble_k,
@@ -29,6 +32,7 @@ from slhkit import (
     limit_slh,
     max_abs,
     number,
+    pauli,
     scaled_resolvent_limit,
     sigma_allpass_limit,
     slow_indices_from_kernel,
@@ -307,7 +311,7 @@ def test_limit_slh_lambda_closed_form_and_cutoff_independence():
         assert max(max_abs(collected[a][i] - collected[b][i]) for i in range(3)) <= 1e-10
 
 
-def test_check_decoupling_counterexample(rng):
+def _counterexample_family(rng):
     # L1 with both sf and ff blocks produces Shat_fs != 0
     ms, mf = 1, 2
     m = ms + mf
@@ -319,7 +323,11 @@ def test_check_decoupling_counterexample(rng):
     fam = ScaledSLHFamily(S=identity(m), L0=random_complex(rng, m, m),
                           L1=L1, H0=random_hermitian(rng, m),
                           H1=np.zeros((m, m)), H2=H2, partition=part)
-    limit = limit_slh(fam)
+    return fam
+
+
+def test_check_decoupling_counterexample(rng):
+    limit = limit_slh(_counterexample_family(rng))
     ok, residual = check_decoupling(limit)
     assert not ok and residual > 1e-6
 
@@ -332,6 +340,27 @@ def test_check_decoupling_lambda_and_kerr():
     kerr = limit_slh(zoo.build("kerr_qubit", n_max=5))
     ok, residual = check_decoupling(kerr)
     assert ok and residual <= 1e-12
+
+
+def test_check_decoupling_rejects_mismatched_slow_model():
+    limit = limit_slh(zoo.build("lambda_system", n_max=3))
+    slow = limit.slow_model
+    perturbed = SLHModel(S=slow.S, L=slow.L, H=slow.H + 0.1 * pauli("x"))
+    with pytest.raises(AssumptionViolated, match="not block diagonal"):
+        check_decoupling(dataclasses.replace(limit, slow_model=perturbed))
+
+
+def test_limit_and_check_decoupling_share_one_residual(rng):
+    families = [
+        zoo.build("lambda_system", n_max=3),
+        zoo.build("kerr_qubit", n_max=5),
+        _counterexample_family(rng),
+    ]
+    families += [random_family(rng, n_inputs, 2, 3, contiguous=contiguous)
+                 for n_inputs in (1, 2) for contiguous in (True, False)]
+    for fam in families:
+        limit = limit_slh(fam)
+        assert limit.decoupling_residual == check_decoupling(limit)[1]
 
 
 def test_sigma_allpass_limit_cases(rng):

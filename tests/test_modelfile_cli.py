@@ -165,6 +165,25 @@ def test_cli_check_pass_fail_and_io(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["check", "limit"])
+@pytest.mark.parametrize("defect", ["nan_entry", "duplicate_slow_indices"])
+def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
+    path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=2")
+    doc = json.loads(path.read_text())
+    if defect == "nan_entry":
+        doc["H0"][0][0] = [float("nan"), 0.0]
+    else:
+        doc["slow_indices"] = [0, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, str(bad)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped BadParam
+    assert "Traceback" not in res.output
+    assert res.output.startswith(f"error: {bad}: ")
+    assert len(res.output.splitlines()) == 1
+
+
 def test_cli_check_family_reports_assumptions(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "detuned_two_level", "delta=2.0")
     res = runner.invoke(main, ["check", str(path)])
