@@ -24,18 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    BadParam,
-    InvalidFamily,
-    ResolventSingular,
-    ShapeError,
-    SingularMatrix,
-)
+from .characteristic import char_op, singular_at
+from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
 from .model import BlockOperatorMatrix, SLHModel
 from .operators import (
     DEFAULT_COND_LIMIT,
     as_matrix,
+    cond_ok,
     condition_estimate,
     dagger,
     imag_part,
@@ -44,7 +39,7 @@ from .operators import (
     is_unitary,
     max_abs,
 )
-from .reduction import BlockPartition, BlockedOperator
+from .reduction import BlockPartition, BlockedOperator, block_inverse
 
 STRUCT_TOL = 1e-9
 AFF_COND_LIMIT = 1e10
@@ -103,8 +98,8 @@ class _SlowFirst:
     """A family's slow-first data, derived once and read-only.
 
     Holds the permutations, the family matrices reordered so the slow block
-    leads, K(k) = k^2 A + k Z + R in that order, the structural and
-    Hermiticity residuals, and the condition estimate of A_ff.
+    leads, K(k) = k^2 A + k Z + R in that order, the structural,
+    Hermiticity and K-identity residuals, and the condition estimate of A_ff.
     """
 
     def __init__(self, family: ScaledSLHFamily):
@@ -139,6 +134,9 @@ class _SlowFirst:
             name: is_hermitian(M)[1]
             for name, M in (("H0", family.H0), ("H1", family.H1), ("H2", family.H2))
         }
+        self.identities = _identity_residuals(
+            self.R[sl, sl], self.Z[sl, fa], self.Z[fa, sl], self.A[fa, fa],
+            self.L0[:, sl], self.L1[:, fa])
         self.aff_condition = condition_estimate(self.A[fa, fa])
 
     def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
@@ -151,9 +149,13 @@ class _SlowFirst:
         return X[np.ix_(self.inv_nm, self.inv_nm)]
 
 
-def structural_residuals(family: ScaledSLHFamily) -> dict:
-    """Max-abs residuals of the required block sparsity patterns."""
-    return dict(family._slow_first.structural)
+def _identity_residuals(R_ss, Z_sf, Z_fs, A_ff, L0s, L1f) -> dict:
+    """Residuals of the three K identities (see :class:`KZRDecomposition`)."""
+    return {
+        "R_ss": max_abs(R_ss + dagger(R_ss) + dagger(L0s) @ L0s),
+        "Z_sf": max_abs(Z_sf + dagger(Z_fs) + dagger(L0s) @ L1f),
+        "A_ff": max_abs(A_ff + dagger(A_ff) + dagger(L1f) @ L1f),
+    }
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,8 @@ class KZRDecomposition:
 
     def identity_residuals(self, family: ScaledSLHFamily) -> dict:
         p = family._slow_first
-        L0s, L1f = p.L0[:, p.sl], p.L1[:, p.fa]
-        return {
-            "R_ss": max_abs(self.R_ss + dagger(self.R_ss) + dagger(L0s) @ L0s),
-            "Z_sf": max_abs(self.Z_sf + dagger(self.Z_fs) + dagger(L0s) @ L1f),
-            "A_ff": max_abs(self.A_ff + dagger(self.A_ff) + dagger(L1f) @ L1f),
-        }
+        return _identity_residuals(self.R_ss, self.Z_sf, self.Z_fs, self.A_ff,
+                                   p.L0[:, p.sl], p.L1[:, p.fa])
 
 
 def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
@@ -251,15 +249,15 @@ def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> Assum
     p = family._slow_first
     _, s_res = is_unitary(family.S, tol)
     cond = p.aff_condition
-    invertible = np.isfinite(cond) and cond <= AFF_COND_LIMIT
+    invertible = cond_ok(cond, AFF_COND_LIMIT)
     msgs = []
     if invertible and cond > AFF_COND_WARN:
         msgs.append(f"A_ff condition estimate {cond:.3e} is near the limit")
         warnings.warn(msgs[-1], RuntimeWarning, stacklevel=2)
     if not invertible:
         msgs.append(f"A_ff is not invertible (condition estimate {cond:.3e})")
-    try:
-        identities = kzr_decompose(family).identity_residuals(family)
+    try:  # reported only once structure and Hermiticity hold at STRUCT_TOL
+        identities = dict(_require_structure(family).identities)
     except InvalidFamily:
         identities = {}
     return AssumptionReport(
@@ -267,7 +265,7 @@ def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> Assum
         hermiticity=dict(p.hermiticity),
         s_unitarity=s_res,
         aff_condition=cond,
-        aff_invertible=bool(invertible),
+        aff_invertible=invertible,
         k_identity_residuals=identities,
         messages=tuple(msgs),
     )
@@ -294,20 +292,12 @@ def scaled_resolvent_limit(M11, M12, M21, M22, s,
         [[ (s + Mhat11)^-1,              -(s + Mhat11)^-1 M12 M22^-1 ],
          [ -M22^-1 M21 (s + Mhat11)^-1,   M22^-1 + M22^-1 M21 (s + Mhat11)^-1 M12 M22^-1 ]]
 
-    with the Schur complement Mhat11 = M11 - M12 M22^-1 M21.
+    with the Schur complement Mhat11 = M11 - M12 M22^-1 M21: the
+    :func:`~slhkit.reduction.block_inverse` of [[s + M11, M12], [M21, M22]].
     """
-    M11 = np.asarray(M11, dtype=complex)
-    M12 = np.asarray(M12, dtype=complex)
-    M21 = np.asarray(M21, dtype=complex)
-    M22 = np.asarray(M22, dtype=complex)
-    M22inv = inverse(M22, cond_limit)
-    Mhat11 = M11 - M12 @ M22inv @ M21
-    ms = M11.shape[0]
-    top = inverse(s * np.eye(ms) + Mhat11, cond_limit)
-    X_sf = -top @ M12 @ M22inv
-    X_fs = -M22inv @ M21 @ top
-    X_ff = M22inv + M22inv @ M21 @ top @ M12 @ M22inv
-    return BlockedOperator(X_ss=top, X_sf=X_sf, X_fs=X_fs, X_ff=X_ff)
+    M11, M12, M21, M22 = (np.asarray(M, dtype=complex) for M in (M11, M12, M21, M22))
+    D, _ = block_inverse(s * np.eye(M11.shape[0]) + M11, M12, M21, M22, cond_limit)
+    return D
 
 
 def finite_k_scaled_resolvent(M11, M12, M21, M22, s, k: float,
@@ -336,20 +326,13 @@ def limit_char_op(family: ScaledSLHFamily, s,
     """
     p = _require_assumptions(family)
     sl, fa = p.sl, p.fa
-    try:
+    with singular_at(s, "(s - Khat_ss) not invertible"):
         D = scaled_resolvent_limit(-p.R[sl, sl], -p.Z[sl, fa], -p.Z[fa, sl],
                                    -p.A[fa, fa], s, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, "(s - Khat_ss) not invertible",
-                                cond_estimate=exc.cond_estimate) from None
     Dfull = np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]])
     Lred = np.hstack([p.L0[:, sl], p.L1[:, fa]])  # nm x m, columns ordered (slow, fast)
     T = p.S - Lred @ Dfull @ dagger(Lred) @ p.S
-    return BlockOperatorMatrix(
-        data=p.unpermute_full(T), block_dim=family.dim,
-        n_blocks_row=family.n_inputs, n_blocks_col=family.n_inputs,
-        kind="char_op",
-    )
+    return BlockOperatorMatrix(p.unpermute_full(T), family.dim, kind="char_op")
 
 
 @dataclass(frozen=True)
@@ -468,8 +451,6 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL,
     operator must also be block diagonal, equal to diag(T_slow(s), Shat_ff)
     at ``s_check``; :class:`AssumptionViolated` is raised when it is not.
     """
-    from .characteristic import char_op
-
     part, n = limit.partition, limit.n_inputs
     residual = _decoupling_residual(limit.Shat, limit.Lhat, part, n)
     ok = residual <= tol
@@ -500,24 +481,21 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s,
     """Limit of the scaled all-pass kernel Sigma_k(s) = L(k)(s + iH(k))^-1 L(k)*.
 
     Valid as the true limit only when L0 = 0 (the k-linear coupling
-    dominates); requires the fast-fast block of H2 to be invertible.  With
-    Htil_ss = H0_ss - H1_sf H2_ff^-1 H1_fs the limit is
+    dominates); requires the fast-fast block of H2 to be invertible.  The
+    limit is L1_f X_ff L1_f*, with X_ff the fast-fast block of the
+    scaled-resolvent limit of s + iH(k).  With
+    Htil_ss = H0_ss - H1_sf H2_ff^-1 H1_fs that block is
 
-        L1_f ( -i H2_ff^-1
-               + H2_ff^-1 H1_fs (s + i Htil_ss)^-1 H1_sf H2_ff^-1 ) L1_f*.
+        -i H2_ff^-1 + H2_ff^-1 H1_fs (s + i Htil_ss)^-1 H1_sf H2_ff^-1.
 
     Returned in the original basis order.
     """
     p = _require_structure(family)
-    H2ff_inv = inverse(p.H2[p.fa, p.fa], cond_limit)
-    H1_sf, H1_fs = p.H1[p.sl, p.fa], p.H1[p.fa, p.sl]
-    Htil_ss = p.H0[p.sl, p.sl] - H1_sf @ H2ff_inv @ H1_fs
-    mid = -1j * H2ff_inv
-    core = inverse(s * np.eye(p.ms) + 1j * Htil_ss, cond_limit)
-    mid = mid + H2ff_inv @ H1_fs @ core @ H1_sf @ H2ff_inv
-    L1f = p.L1[:, p.fa]
-    Sig = L1f @ mid @ dagger(L1f)
-    return p.unpermute_full(Sig)
+    sl, fa = p.sl, p.fa
+    D = scaled_resolvent_limit(1j * p.H0[sl, sl], 1j * p.H1[sl, fa],
+                               1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s, cond_limit)
+    L1f = p.L1[:, fa]
+    return p.unpermute_full(L1f @ D.X_ff @ dagger(L1f))
 
 
 @dataclass(frozen=True)
@@ -541,8 +519,6 @@ def convergence_study(family: ScaledSLHFamily, s, k_values,
     fewer than 3 such points exist.  The expected slope is -1 (leading 1/k
     correction).
     """
-    from .characteristic import char_op
-
     That = limit_char_op(family, s, cond_limit).data
     ks = [float(k) for k in k_values]
     errors = []

@@ -20,6 +20,7 @@ that are exactly zero in every point's result stay exactly zero.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,59 +33,53 @@ from .operators import (
     DEFAULT_COND_LIMIT,
     as_matrix,
     dagger,
+    guard_cond,
     inverse,
     max_abs,
     solve,
 )
 
 
+@contextmanager
+def singular_at(s, message=None):
+    """Re-raise a refused inversion inside the block as ResolventSingular at s.
+
+    The one place where SingularMatrix becomes ResolventSingular; every
+    route that evaluates a resolvent at a point goes through it.
+    """
+    try:
+        yield
+    except SingularMatrix as exc:
+        raise ResolventSingular(s, message, cond_estimate=exc.cond_estimate) from None
+
+
 def resolvent_solve(M, s, B=None, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     """(sI - M)^-1 B, or (sI - M)^-1 when B is None; ResolventSingular on failure."""
     M = np.asarray(M, dtype=complex)
     A = s * np.eye(M.shape[0]) - M
-    try:
+    with singular_at(s):
         return inverse(A, cond_limit) if B is None else solve(A, B, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, cond_estimate=exc.cond_estimate) from None
-
-
-def _char_block(model: SLHModel, data) -> BlockOperatorMatrix:
-    """Wrap an nm x nm matrix as a characteristic operator of ``model``."""
-    return BlockOperatorMatrix(
-        data=data, block_dim=model.dim,
-        n_blocks_row=model.n_inputs, n_blocks_col=model.n_inputs,
-        kind="char_op",
-    )
 
 
 def char_op(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
     """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
     X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S, cond_limit)
-    return _char_block(model, model.S - model.L @ X)
+    return BlockOperatorMatrix(model.S - model.L @ X, model.dim, kind="char_op")
 
 
 def sigma_kernel(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
     R = resolvent_solve(-1j * model.H, s, None, cond_limit)
-    return BlockOperatorMatrix(
-        data=model.L @ R @ dagger(model.L),
-        block_dim=model.dim,
-        n_blocks_row=model.n_inputs, n_blocks_col=model.n_inputs,
-        kind="sigma",
-    )
+    return BlockOperatorMatrix(model.L @ R @ dagger(model.L), model.dim, kind="sigma")
 
 
 def char_op_allpass(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
     """All-pass evaluation T(s) = (1 - Sigma/2)(1 + Sigma/2)^-1 S."""
     Sig = sigma_kernel(model, s, cond_limit).data
-    nm = Sig.shape[0]
-    I = np.eye(nm, dtype=complex)
-    try:
+    I = np.eye(Sig.shape[0], dtype=complex)
+    with singular_at(s, "(1 + Sigma/2) not invertible"):
         denom = inverse(I + 0.5 * Sig, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, "(1 + Sigma/2) not invertible",
-                                cond_estimate=exc.cond_estimate) from None
-    return _char_block(model, (I - 0.5 * Sig) @ denom @ model.S)
+    return BlockOperatorMatrix((I - 0.5 * Sig) @ denom @ model.S, model.dim, kind="char_op")
 
 
 def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
@@ -97,19 +92,10 @@ def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> B
     E00 = coeffs.E00
     R = resolvent_solve(-1j * E00, s, None, cond_limit)
     X = 0.5j * coeffs.Ell + 0.5 * coeffs.El0 @ R @ coeffs.E0l
-    nm = X.shape[0]
-    I = np.eye(nm, dtype=complex)
-    try:
+    I = np.eye(X.shape[0], dtype=complex)
+    with singular_at(s, "(I + X(s)) not invertible"):
         denom = inverse(I + X, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, "(I + X(s)) not invertible",
-                                cond_estimate=exc.cond_estimate) from None
-    m = E00.shape[0]
-    return BlockOperatorMatrix(
-        data=(I - X) @ denom, block_dim=m,
-        n_blocks_row=nm // m, n_blocks_col=nm // m,
-        kind="char_op",
-    )
+    return BlockOperatorMatrix((I - X) @ denom, E00.shape[0], kind="char_op")
 
 
 def transfer_function(abcd_matrices, s, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
@@ -188,7 +174,7 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s,
     for q in range(1, order + 1):
         W = W @ V @ R0
         T = T - (-1j * lam) ** q * (model0.L @ W @ LS)
-    return _char_block(model0, T)
+    return BlockOperatorMatrix(T, model0.dim, kind="char_op")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +269,10 @@ def _schur_char_op(model: SLHModel, cond_limit: float):
     def evaluate(s):
         A = s * I - T
         rcond, _ = ztrcon(A, norm="1")
-        cond = 1.0 / rcond if rcond > 0 else np.inf
-        if not cond <= cond_limit:
-            raise ResolventSingular(s, cond_estimate=cond)
+        with singular_at(s):
+            guard_cond(1.0 / rcond if rcond > 0 else np.inf, cond_limit)
         X = scipy.linalg.solve_triangular(A, W, check_finite=False)
-        return _char_block(model, model.S - LZ @ X)
+        return BlockOperatorMatrix(model.S - LZ @ X, model.dim, kind="char_op")
 
     return evaluate
 

@@ -240,9 +240,12 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
 @click.option("--emit", "emit_path", default=None,
               help="write the reduced slow model here when decoupled")
 @click.option("--study", "study_spec", default=None,
-              help="comma-separated k values for a convergence study")
+              help="comma-separated k values for a convergence study; the "
+                   "study checks the family at the default tolerance 1e-9, "
+                   "whatever --tol is")
 @click.option("--s", "s_point", default="1,0", help="evaluation point 're,im'")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=None,
+              help="tolerance of the assumption report and the limit model")
 def cmd_limit(path, emit_path, study_spec, s_point, tol):
     """Assumption report, limit model, decoupling verdict for a family file."""
     tol = tol if tol is not None else _default_tol()
@@ -277,9 +280,10 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
         s = _parse_complex(s_point, "--s")
         try:
             study = adiabatic.convergence_study(obj, s, ks)
-        except SingularMatrix as exc:
+        except SlhkitError as exc:  # the study re-checks the family at 1e-9
             click.echo(f"error: convergence study failed: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+            sys.exit(EXIT_NUMERICAL if isinstance(exc, SingularMatrix)
+                     else EXIT_VALIDATION)
         click.echo("k, error")
         for k, err in study.rows():
             click.echo(f"{k:g}, {err:.6e}")

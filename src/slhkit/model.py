@@ -42,18 +42,25 @@ class BlockOperatorMatrix:
 
     data: np.ndarray
     block_dim: int
-    n_blocks_row: int
-    n_blocks_col: int
     kind: str = "generic"
 
     def __post_init__(self):
         data = as_matrix(self.data, "block matrix data")
         object.__setattr__(self, "data", data)
-        expect = (self.n_blocks_row * self.block_dim, self.n_blocks_col * self.block_dim)
-        if data.shape != expect:
+        d = self.block_dim
+        if d < 1 or data.shape[0] % d or data.shape[1] % d:
             raise ShapeError(
-                f"block matrix data has shape {data.shape}, expected {expect}"
+                f"block matrix data has shape {data.shape}, "
+                f"not a grid of {d} x {d} blocks"
             )
+
+    @property
+    def n_blocks_row(self) -> int:
+        return self.data.shape[0] // self.block_dim
+
+    @property
+    def n_blocks_col(self) -> int:
+        return self.data.shape[1] // self.block_dim
 
     def block(self, j: int, k: int) -> np.ndarray:
         """The (j, k) operator block (block_dim x block_dim)."""
@@ -164,10 +171,7 @@ def model_matrix(model: SLHModel) -> BlockOperatorMatrix:
     V[:m, m:] = -dagger(model.L) @ model.S
     V[m:, :m] = model.L
     V[m:, m:] = model.S
-    return BlockOperatorMatrix(
-        data=V, block_dim=m, n_blocks_row=n + 1, n_blocks_col=n + 1,
-        kind="model_matrix",
-    )
+    return BlockOperatorMatrix(V, m, kind="model_matrix")
 
 
 def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:

@@ -73,8 +73,22 @@ def _lu_with_cond(A: np.ndarray):
     return (lu, piv), cond
 
 
-def inverse(A, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Invert a square matrix, refusing when the condition estimate is too large.
+def cond_ok(cond: float, cond_limit: float) -> bool:
+    """The guard decision: a condition estimate passes when finite and <= the limit."""
+    return bool(np.isfinite(cond) and cond <= cond_limit)
+
+
+def guard_cond(cond: float, cond_limit: float) -> None:
+    """Raise SingularMatrix carrying ``cond`` unless :func:`cond_ok` holds."""
+    if not cond_ok(cond, cond_limit):
+        raise SingularMatrix(
+            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.3e}",
+            cond_estimate=cond,
+        )
+
+
+def solve(A, B, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """A^-1 B for square A, refusing when the condition estimate is too large.
 
     Raises
     ------
@@ -83,29 +97,20 @@ def inverse(A, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
         exceeds ``cond_limit``.
     """
     A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"inverse needs a square matrix, got {A.shape}")
+        raise ShapeError(f"solve needs a square matrix, got {A.shape}")
     if A.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros(B.shape, dtype=complex)
     factors, cond = _lu_with_cond(A)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrix(
-            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.3e}",
-            cond_estimate=cond,
-        )
-    return scipy.linalg.lu_solve(factors, np.eye(A.shape[0], dtype=complex))
+    guard_cond(cond, cond_limit)
+    return scipy.linalg.lu_solve(factors, B)
 
 
-def solve(A, B, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """A^-1 B with the same condition guard as :func:`inverse`."""
+def inverse(A, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """A^-1 through :func:`solve` against the identity (same guard)."""
     A = np.asarray(A, dtype=complex)
-    factors, cond = _lu_with_cond(A)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrix(
-            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.3e}",
-            cond_estimate=cond,
-        )
-    return scipy.linalg.lu_solve(factors, np.asarray(B, dtype=complex))
+    return solve(A, np.eye(A.shape[0] if A.ndim else 0), cond_limit)
 
 
 def condition_estimate(A) -> float:

@@ -2,11 +2,17 @@
 
 A partition splits the plant space into two orthogonal index sets (called
 slow and fast throughout, matching the adiabatic use).  Partitioning is
-permutation based, so extraction and reassembly are bit exact.  The
-Schur-Feshbach identity expresses the blocks of (s - K)^-1 through the
-shifted generator
+permutation based, so extraction and reassembly are bit exact.
 
-    Khat_11(s) = K_11 + K_12 (s - K_22)^-1 K_21.
+Every 2 x 2 block inverse in the package goes through one Schur-complement
+step, :func:`block_inverse`: the blocks of [[a, b], [c, d]]^-1 from d^-1 and
+the complement a - b d^-1 c.  The Schur-Feshbach identity is that step
+applied to s - K; it expresses the blocks of (s - K)^-1 through the shifted
+generator
+
+    Khat_11(s) = K_11 + K_12 (s - K_22)^-1 K_21,
+
+and the adiabatic limits apply it to the k-scaled generator.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParam, ShapeError, SingularMatrix, ResolventSingular
+from .characteristic import char_op, singular_at
+from .errors import BadParam, ShapeError, SingularMatrix
 from .model import SLHModel, k_operator
 from .operators import DEFAULT_COND_LIMIT, dagger, inverse, max_abs
 
@@ -119,50 +126,46 @@ class SchurFeshbachBlocks:
         )
 
 
+def block_inverse(a, b, c, d, cond_limit: float = DEFAULT_COND_LIMIT):
+    """Blocks of [[a, b], [c, d]]^-1 through the Schur complement of d, and d^-1.
+
+    With x = (a - b d^-1 c)^-1 the inverse is
+
+        [[ x,             -x b d^-1                  ],
+         [ -d^-1 c x,      d^-1 + d^-1 c x b d^-1     ]].
+
+    Returns (BlockedOperator, d^-1); SingularMatrix when d or the complement
+    fails the condition guard.
+    """
+    dinv = inverse(d, cond_limit)
+    x = inverse(a - b @ dinv @ c, cond_limit)
+    x_b_dinv = x @ b @ dinv
+    dinv_c_x = dinv @ c @ x
+    blocks = BlockedOperator(X_ss=x, X_sf=-x_b_dinv, X_fs=-dinv_c_x,
+                             X_ff=dinv + dinv_c_x @ b @ dinv)
+    return blocks, dinv
+
+
 def schur_feshbach(Kblocked: BlockedOperator, s,
                    cond_limit: float = DEFAULT_COND_LIMIT) -> SchurFeshbachBlocks:
     """Resolvent blocks of (s - K)^-1 from the Schur-Feshbach identity.
 
-    With Delta_22 = (s - K_22)^-1 and Khat_11(s) = K_11 + K_12 Delta_22 K_21:
+    :func:`block_inverse` of (s - K) with Delta_22 = (s - K_22)^-1, whose
+    complement is s - Khat_11(s), Khat_11(s) = K_11 + K_12 Delta_22 K_21:
 
         D11 = (s - Khat_11)^-1
         D12 = D11 K_12 Delta_22
         D21 = Delta_22 K_21 D11
         D22 = Delta_22 + Delta_22 K_21 D11 K_12 Delta_22
     """
-    mf = Kblocked.X_ff.shape[0]
-    ms = Kblocked.X_ss.shape[0]
-    try:
-        Delta22 = inverse(s * np.eye(mf) - Kblocked.X_ff, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, "(s - K_22) not invertible",
-                                cond_estimate=exc.cond_estimate) from None
-    Khat11 = Kblocked.X_ss + Kblocked.X_sf @ Delta22 @ Kblocked.X_fs
-    try:
-        D11 = inverse(s * np.eye(ms) - Khat11, cond_limit)
-    except SingularMatrix as exc:
-        raise ResolventSingular(s, "(s - Khat_11(s)) not invertible",
-                                cond_estimate=exc.cond_estimate) from None
-    D12 = D11 @ Kblocked.X_sf @ Delta22
-    D21 = Delta22 @ Kblocked.X_fs @ D11
-    D22 = Delta22 + Delta22 @ Kblocked.X_fs @ D11 @ Kblocked.X_sf @ Delta22
-    return SchurFeshbachBlocks(D11=D11, D12=D12, D21=D21, D22=D22,
-                               Khat11=Khat11, s=complex(s))
-
-
-def _coupling_blocks(model: SLHModel, partition: BlockPartition):
-    """Plant blocks of the stacked coupling L and of L*S, keyed by (row, col)."""
-    n = model.n_inputs
-    rows = {a: partition.stacked_rows(n, a) for a in ("slow", "fast")}
-    cols = {
-        "slow": np.array(partition.slow_indices, dtype=int),
-        "fast": np.array(partition.fast_indices, dtype=int),
-    }
-    LS = dagger(model.L) @ model.S  # m x nm
-    Lb = {(a, b): model.L[np.ix_(rows[a], cols[b])] for a in rows for b in cols}
-    LSb = {(a, b): LS[np.ix_(cols[a], rows[b])] for a in cols for b in rows}
-    Sb = {(a, b): model.S[np.ix_(rows[a], rows[b])] for a in rows for b in rows}
-    return Lb, LSb, Sb
+    Kb = Kblocked
+    with singular_at(s, "(s - K_22) or (s - Khat_11(s)) not invertible"):
+        D, Delta22 = block_inverse(s * np.eye(Kb.X_ss.shape[0]) - Kb.X_ss, -Kb.X_sf,
+                                   -Kb.X_fs, s * np.eye(Kb.X_ff.shape[0]) - Kb.X_ff,
+                                   cond_limit)
+    return SchurFeshbachBlocks(D11=D.X_ss, D12=D.X_sf, D21=D.X_fs, D22=D.X_ff,
+                               Khat11=Kb.X_ss + Kb.X_sf @ Delta22 @ Kb.X_fs,
+                               s=complex(s))
 
 
 def char_blocks(model: SLHModel, partition: BlockPartition, s,
@@ -170,31 +173,16 @@ def char_blocks(model: SLHModel, partition: BlockPartition, s,
     """Blocks T_ab(s) of the characteristic operator over the partition.
 
     Computed through the Schur-Feshbach resolvent blocks (not by slicing a
-    direct evaluation):
-
-        T_ab = S_ab - sum_de L_ad Dhat_de (L* S)_eb.
+    direct evaluation): T = S - L Dhat (L* S), with Dhat the reassembled
+    Schur-Feshbach blocks of (s - K)^-1, is cut into its slow/fast blocks.
     """
     if partition.dim != model.dim:
         raise ShapeError("partition dim must equal the plant dim")
     Kb = partition_operator(k_operator(model), partition)
-    R = schur_feshbach(Kb, s, cond_limit)
-    Dhat = {
-        ("slow", "slow"): R.D11, ("slow", "fast"): R.D12,
-        ("fast", "slow"): R.D21, ("fast", "fast"): R.D22,
-    }
-    Lb, LSb, Sb = _coupling_blocks(model, partition)
-    out = {}
-    for a in ("slow", "fast"):
-        for b in ("slow", "fast"):
-            T = Sb[(a, b)].copy()
-            for d in ("slow", "fast"):
-                for e in ("slow", "fast"):
-                    T -= Lb[(a, d)] @ Dhat[(d, e)] @ LSb[(e, b)]
-            out[(a, b)] = T
-    return BlockedOperator(
-        X_ss=out[("slow", "slow")], X_sf=out[("slow", "fast")],
-        X_fs=out[("fast", "slow")], X_ff=out[("fast", "fast")],
-    )
+    Dhat = schur_feshbach(Kb, s, cond_limit).assemble(partition)
+    T = model.S - model.L @ Dhat @ (dagger(model.L) @ model.S)
+    rows = [partition.stacked_rows(model.n_inputs, a) for a in ("slow", "fast")]
+    return BlockedOperator(*(T[np.ix_(r, c)] for r in rows for c in rows))
 
 
 def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
@@ -241,8 +229,6 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
     The candidate must live on the slow subspace with the same input count.
     Returns (ok, worst_residual, skipped).
     """
-    from .characteristic import char_op
-
     if candidate.n_inputs != full.n_inputs:
         raise ShapeError("candidate must have the same number of inputs")
     if candidate.dim != partition.n_slow:

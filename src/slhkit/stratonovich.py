@@ -41,6 +41,7 @@ from .model import SLHModel
 from .operators import (
     DEFAULT_COND_LIMIT,
     as_matrix,
+    cond_ok,
     condition_estimate,
     dagger,
     imag_part,
@@ -245,7 +246,7 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
 
     E00ff = P2[fa, fa]
     cond = condition_estimate(E00ff)
-    if not np.isfinite(cond) or cond > AFF_COND_LIMIT:
+    if not cond_ok(cond, AFF_COND_LIMIT):
         raise AssumptionViolated(
             f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
         )
@@ -254,13 +255,7 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
         1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s,
         cond_limit=cond_limit,
     )
-    G0s = G0[:, sl]
-    G1f = G1[:, fa]
-    X = 0.5j * Ell + 0.5 * (
-        G0s @ D.X_ss @ dagger(G0s)
-        + G0s @ D.X_sf @ dagger(G1f)
-        + G1f @ D.X_fs @ dagger(G0s)
-        + G1f @ D.X_ff @ dagger(G1f)
-    )
+    G = np.hstack([G0[:, sl], G1[:, fa]])  # columns ordered (slow, fast)
+    X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
     T = (I - X) @ inverse(I + X, cond_limit)
     return p.unpermute_full(T)

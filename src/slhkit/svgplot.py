@@ -64,8 +64,3 @@ def magnitude_phase_svg(xs, values, x_label: str = "omega") -> str:
         + "\n".join(body)
         + "\n</svg>\n"
     )
-
-
-def write_magnitude_phase_svg(path, xs, values, x_label: str = "omega") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(magnitude_phase_svg(xs, values, x_label))

@@ -148,6 +148,25 @@ def test_check_assumptions_pass_and_fail_modes():
     assert not report.passed()
 
 
+def test_report_identity_residuals_only_for_sound_structure(rng):
+    good = random_family(rng, 2, 2, 3, contiguous=False)
+    report = check_assumptions(good)
+    kzr = kzr_decompose(good)
+    assert report.k_identity_residuals == kzr.identity_residuals(good)
+    # the identities are withheld whenever structure or Hermiticity fails at
+    # the default tolerance, even when the report's own tolerance is looser
+    fam = zoo.build("detuned_two_level", delta=2.0)
+    L1 = np.array(fam.L1)
+    L1[0, 1] = 1e-6
+    H0 = np.array(fam.H0)
+    H0[0, 1] = 1e-7
+    for changes in (dict(L1=L1), dict(H0=H0)):
+        bad = dataclasses.replace(fam, **changes)
+        loose = check_assumptions(bad, tol=1e-5)
+        assert loose.passed(tol=1e-5)
+        assert loose.k_identity_residuals == {}
+
+
 def test_scaled_resolvent_limit_decoupled_case(rng):
     M11 = random_hermitian(rng, 2)
     M22 = random_hermitian(rng, 2) + 3 * identity(2)

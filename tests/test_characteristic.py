@@ -6,9 +6,11 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from slhkit import (
+    BlockPartition,
     FrequencyGrid,
     ResolventSingular,
     SLHModel,
+    char_blocks,
     char_op,
     char_op_allpass,
     char_op_stratonovich,
@@ -19,11 +21,14 @@ from slhkit import (
     ito_to_stratonovich,
     k_operator,
     kron,
+    limit_char_op,
     max_abs,
+    partition_operator,
     pauli,
     perturbation_series,
     rotate,
     coefficients_from_parts,
+    schur_feshbach,
     series_product,
     sweep,
     transfer_function,
@@ -345,3 +350,42 @@ def test_sweep_guard_flags_defective_eigenvalue_of_cascade():
     with pytest.raises(ResolventSingular) as info:
         _schur_char_op(model, DEFAULT_COND_LIMIT)(near)
     assert info.value.cond_estimate > DEFAULT_COND_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# Every route reports a point on the spectrum the same way.
+# ---------------------------------------------------------------------------
+
+# K of this cavity is diag(0, -(1 + i)/2, -(1 + i), -3(1 + i)/2), so every
+# route meets an exactly singular matrix at s = -(1 + i)/2.
+_CAVITY = zoo.build("linear_passive", gamma=1.0, delta=0.5, n_max=3)
+_CAVITY_POLE = -0.5 - 0.5j
+# Limit of this family: T_g = (s - 1/2)/(s + 1/2) (shifted frequency 1 - 4/4 = 0).
+_FAMILY = zoo.build("detuned_two_level", gamma=1.0, kappa=0.3, delta=4.0,
+                    beta=2.0, omega0=1.0)
+_ONE_SLOW = BlockPartition(dim=_CAVITY.dim, slow_indices=(1,))
+
+_SINGULAR_ROUTES = {
+    "char_op": (lambda s: char_op(_CAVITY, s), _CAVITY_POLE),
+    "char_op_allpass": (lambda s: char_op_allpass(_CAVITY, s), _CAVITY_POLE),
+    "char_op_stratonovich": (
+        lambda s: char_op_stratonovich(ito_to_stratonovich(_CAVITY), s), _CAVITY_POLE),
+    "schur_feshbach": (
+        lambda s: schur_feshbach(partition_operator(k_operator(_CAVITY), _ONE_SLOW), s),
+        _CAVITY_POLE),
+    "char_blocks": (lambda s: char_blocks(_CAVITY, _ONE_SLOW, s), _CAVITY_POLE),
+    "limit_char_op": (lambda s: limit_char_op(_FAMILY, s), -0.5 + 0j),
+    "direct_sweep_point": (
+        lambda s: _schur_char_op(_CAVITY, DEFAULT_COND_LIMIT)(s), _CAVITY_POLE),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SINGULAR_ROUTES))
+def test_every_route_raises_resolvent_singular_on_the_spectrum(route):
+    evaluate, s = _SINGULAR_ROUTES[route]
+    with pytest.raises(ResolventSingular) as info:
+        evaluate(s)
+    assert info.value.s == s
+    assert info.value.cond_estimate > DEFAULT_COND_LIMIT  # inf passes too
+    # just off the pole every route evaluates
+    evaluate(s + 0.1)

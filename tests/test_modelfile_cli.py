@@ -184,6 +184,29 @@ def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
     assert len(res.output.splitlines()) == 1
 
 
+def test_cli_limit_study_reports_strict_recheck_in_one_line(runner, tmp_path):
+    # an L1 slow-column residual of 1e-6 passes --tol 1e-5, but the study
+    # re-checks the family at the default 1e-9 and must say so in one line
+    fam = zoo.build("detuned_two_level", delta=2.0)
+    L1 = np.array(fam.L1)
+    L1[0, 1] = 1e-6  # basis (excited, ground); ground is slow
+    path = tmp_path / "loose.json"
+    modelfile.write_model(path, ScaledSLHFamily(
+        S=fam.S, L0=fam.L0, L1=L1, H0=fam.H0, H1=fam.H1, H2=fam.H2,
+        partition=fam.partition))
+    res = runner.invoke(main, ["limit", str(path), "--tol", "1e-5",
+                               "--study", "10,100"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped AssumptionViolated
+    assert "Traceback" not in res.output
+    assert "assumptions: PASS" in res.output
+    last = res.output.splitlines()[-1]
+    assert last.startswith("error: convergence study failed: ")
+    assert "L1_slow_columns" in last
+    help_text = runner.invoke(main, ["limit", "--help"]).output
+    assert "1e-9" in " ".join(help_text.split())
+
+
 def test_cli_check_family_reports_assumptions(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "detuned_two_level", "delta=2.0")
     res = runner.invoke(main, ["check", str(path)])
