@@ -492,8 +492,9 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s,
     """
     p = _require_structure(family)
     sl, fa = p.sl, p.fa
-    D = scaled_resolvent_limit(1j * p.H0[sl, sl], 1j * p.H1[sl, fa],
-                               1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s, cond_limit)
+    with singular_at(s, "(s + i Htil_ss) not invertible"):
+        D = scaled_resolvent_limit(1j * p.H0[sl, sl], 1j * p.H1[sl, fa],
+                                   1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s, cond_limit)
     L1f = p.L1[:, fa]
     return p.unpermute_full(L1f @ D.X_ff @ dagger(L1f))
 

@@ -128,24 +128,17 @@ def vacuum_expectation(block_matrix: BlockOperatorMatrix, dims, vacuum_modes=Non
     if int(np.prod(dims)) != m:
         raise ShapeError(f"product of dims {dims} must equal block dim {m}")
     nf = len(dims)
-    if vacuum_modes is None:
-        vacuum_modes = tuple(range(nf))
-    vacuum_modes = tuple(sorted(set(int(i) for i in vacuum_modes)))
-    keep = [i for i in range(nf) if i not in vacuum_modes]
-    mkeep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    vacuum_modes = range(nf) if vacuum_modes is None else {int(i) for i in vacuum_modes}
+    if not all(0 <= v < nf for v in vacuum_modes):
+        raise ShapeError(f"vacuum_modes {sorted(vacuum_modes)} must lie in [0, {nf})")
+    mkeep = m // int(np.prod([dims[v] for v in vacuum_modes]))
 
     nr, nc = block_matrix.n_blocks_row, block_matrix.n_blocks_col
-    out = np.zeros((nr * mkeep, nc * mkeep), dtype=complex)
-    for j in range(nr):
-        for k in range(nc):
-            B = block_matrix.block(j, k).reshape(dims + dims)
-            idx = [slice(None)] * (2 * nf)
-            for v in vacuum_modes:
-                idx[v] = 0
-                idx[nf + v] = 0
-            red = np.asarray(B[tuple(idx)]).reshape(mkeep, mkeep)
-            out[j * mkeep:(j + 1) * mkeep, k * mkeep:(k + 1) * mkeep] = red
-    return out
+    idx = [slice(None)] * (2 * nf + 2)  # axes (row block, *dims, col block, *dims)
+    for v in vacuum_modes:
+        idx[1 + v] = idx[nf + 2 + v] = 0
+    T = block_matrix.data.reshape(nr, *dims, nc, *dims)
+    return np.array(T[tuple(idx)]).reshape(nr * mkeep, nc * mkeep)
 
 
 def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None,

@@ -181,50 +181,43 @@ def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:
     creation[i]    = sum_j S_ji* [X, L_j]
     annihilation[i]= sum_k [L_k*, X] S_ki
     gauge[i][k]    = sum_j S_ji* X S_jk - delta_ik X
+
+    With X_n = I_n (x) X these are the blocks of whole matrices: the drift
+    is 1/2 L*(X_n L - L X) + 1/2 (L* X_n - X L*) L - i[X, H], creation and
+    annihilation split S*(X_n L - L X) and (L* X_n - X L*) S, and gauge
+    splits S* X_n S - X_n.
     """
     X = as_matrix(X, "X")
     n, m = model.n_inputs, model.dim
     if X.shape != (m, m):
         raise ShapeError(f"X must be {m} x {m}, got {X.shape}")
-    Ls = [model.l_block(i) for i in range(n)]
-    H = model.H
-
-    drift = -1j * (X @ H - H @ X)
-    for Li in Ls:
-        drift += 0.5 * dagger(Li) @ (X @ Li - Li @ X)
-        drift += 0.5 * (dagger(Li) @ X - X @ dagger(Li)) @ Li
-
-    creation = []
-    annihilation = []
-    for i in range(n):
-        Mi = np.zeros((m, m), dtype=complex)
-        Ni = np.zeros((m, m), dtype=complex)
-        for j in range(n):
-            Sji = model.s_block(j, i)
-            Lj = Ls[j]
-            Mi += dagger(Sji) @ (X @ Lj - Lj @ X)
-            Ni += (dagger(Lj) @ X - X @ dagger(Lj)) @ Sji
-        creation.append(Mi)
-        annihilation.append(Ni)
-
-    gauge = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            G = np.zeros((m, m), dtype=complex)
-            for j in range(n):
-                G += dagger(model.s_block(j, i)) @ X @ model.s_block(j, k)
-            if i == k:
-                G -= X
-            row.append(G)
-        gauge.append(tuple(row))
-
+    S, Sd, L, Ld = model.S, dagger(model.S), model.L, dagger(model.L)
+    Xn = kron(identity(n), X)
+    XL = Xn @ L - L @ X      # stacked [X, L_j]
+    LX = Ld @ Xn - X @ Ld    # row of [L_k*, X]
+    drift = 0.5 * Ld @ XL + 0.5 * LX @ L - 1j * (X @ model.H - model.H @ X)
+    G = Sd @ Xn @ S - Xn
     return HeisenbergCoefficients(
         drift=drift,
-        creation=tuple(creation),
-        annihilation=tuple(annihilation),
-        gauge=tuple(gauge),
+        creation=tuple(np.split(Sd @ XL, n)),
+        annihilation=tuple(np.split(LX @ S, n, axis=1)),
+        gauge=tuple(tuple(np.split(row, n, axis=1)) for row in np.split(G, n)),
     )
+
+
+def _block_kron(X, Y, dx: int, dy: int) -> np.ndarray:
+    """Block Kronecker product (X (*) Y)_jk = sum_l X_jl (x) Y_lk.
+
+    X is a grid of dx x dx blocks and Y a grid of dy x dy blocks, with as
+    many block columns in X as block rows in Y.  The products are broadcast
+    the way np.kron forms them and summed over l in order, so a single block
+    column gives np.kron's bits (np.einsum rounds complex products
+    differently).
+    """
+    nj, nl, nk = X.shape[0] // dx, X.shape[1] // dx, Y.shape[1] // dy
+    Xl = X.reshape(nj, dx, nl, dx).transpose(2, 0, 1, 3)  # axes (l, j, b, c)
+    P = Xl[:, :, :, None, None, :, None] * Y.reshape(nl, 1, 1, dy, nk, 1, dy)
+    return P.sum(axis=0).reshape(nj * dx * dy, nk * dx * dy)  # rows (j, b, a)
 
 
 def series_product(downstream: SLHModel, upstream: SLHModel) -> SLHModel:
@@ -233,44 +226,24 @@ def series_product(downstream: SLHModel, upstream: SLHModel) -> SLHModel:
     The composite lives on the tensor space (downstream plant) x (upstream
     plant) and has parameters
 
-        S_jk = sum_l S^B_jl (x) S^A_lk
-        L_j  = L^B_j (x) I_A + sum_l S^B_jl (x) L^A_l
-        H    = H_B (x) I_A + I_B (x) H_A + Im{ sum_jl L^B_j* S^B_jl (x) L^A_l }
+        S = S_B (*) S_A
+        L = L_B (*) I_A + S_B (*) L_A
+        H = H_B (x) I_A + I_B (x) H_A + Im{ (L_B* S_B) (*) L_A }
 
-    where B is downstream and A is upstream.
+    where B is downstream, A is upstream and (*) is the block Kronecker
+    product of :func:`_block_kron`, so S_jk = sum_l S^B_jl (x) S^A_lk.
     """
     B, A = downstream, upstream
     if B.n_inputs != A.n_inputs:
         raise ShapeError(
             f"series product needs matching input counts, got {B.n_inputs} and {A.n_inputs}"
         )
-    n = B.n_inputs
     mB, mA = B.dim, A.dim
-    m = mB * mA
-    IA = identity(mA)
-    IB = identity(mB)
-
-    S = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            blk = np.zeros((m, m), dtype=complex)
-            for l in range(n):
-                blk += kron(B.s_block(j, l), A.s_block(l, k))
-            S[j * m:(j + 1) * m, k * m:(k + 1) * m] = blk
-
-    L = np.zeros((n * m, m), dtype=complex)
-    for j in range(n):
-        blk = kron(B.l_block(j), IA)
-        for l in range(n):
-            blk += kron(B.s_block(j, l), A.l_block(l))
-        L[j * m:(j + 1) * m, :] = blk
-
-    cross = np.zeros((m, m), dtype=complex)
-    for j in range(n):
-        for l in range(n):
-            cross += kron(dagger(B.l_block(j)) @ B.s_block(j, l), A.l_block(l))
+    IA, IB = identity(mA), identity(mB)
+    S = _block_kron(B.S, A.S, mB, mA)
+    L = _block_kron(B.L, IA, mB, mA) + _block_kron(B.S, A.L, mB, mA)
+    cross = _block_kron(dagger(B.L) @ B.S, A.L, mB, mA)
     H = kron(B.H, IA) + kron(IB, A.H) + imag_part(cross)
-
     return SLHModel(S=S, L=L, H=H)
 
 

@@ -74,10 +74,15 @@ def _matrix_from_json(obj, field: str) -> np.ndarray:
         out_row = []
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
+                    # type(), not isinstance(): JSON true is a bool, and bools are ints
+                    or not all(type(v) in (int, float) for v in cell)):
                 raise ModelFileError(field, "entries must be [re, im] pairs",
                                      index=(i, j))
-            out_row.append(complex(cell[0], cell[1]))
+            try:
+                out_row.append(complex(cell[0], cell[1]))
+            except OverflowError:
+                raise ModelFileError(field, "entry exceeds the float range",
+                                     index=(i, j)) from None
         data.append(out_row)
     return np.array(data, dtype=complex)
 
@@ -131,7 +136,7 @@ def loads(text: str):
     if kind not in _MATRIX_KEYS:
         raise ModelFileError("kind", f"must be one of {sorted(_MATRIX_KEYS)}, got {kind!r}")
     for field in ("n_inputs", "dim"):
-        if not isinstance(doc.get(field), int) or doc[field] < 1:
+        if type(doc.get(field)) is not int or doc[field] < 1:
             raise ModelFileError(field, "must be a positive integer")
     mats = {}
     for key in _MATRIX_KEYS[kind]:
@@ -161,7 +166,7 @@ def loads(text: str):
             expect(key, (m, m))
         slow = doc.get("slow_indices")
         if (not isinstance(slow, list) or not slow
-                or not all(isinstance(i, int) and 0 <= i < m for i in slow)):
+                or not all(type(i) is int and 0 <= i < m for i in slow)):
             raise ModelFileError("slow_indices",
                                  f"must be a nonempty list of integers in [0, {m})")
         return ScaledSLHFamily(
@@ -203,20 +208,18 @@ def from_sweep_result(sweep_result):
 
 def sweep_rows(s_values, matrices, statuses, n_inputs: int, dim: int):
     """Yield CSV data rows (point order, then block row/col, entry row/col)."""
+    n, m = n_inputs, dim
+    labels = [f"{br},{bc},{er},{ec}" for br in range(n) for bc in range(n)
+              for er in range(m) for ec in range(m)]
+    failed = np.full(len(labels), complex("nan+nanj"))
     for s, value, status in zip(s_values, matrices, statuses):
         s = complex(s)
-        status = status.replace(",", ";").replace("\n", " ")
-        for br in range(n_inputs):
-            for bc in range(n_inputs):
-                for er in range(dim):
-                    for ec in range(dim):
-                        if value is None:
-                            re = im = float("nan")
-                        else:
-                            z = value[br * dim + er, bc * dim + ec]
-                            re, im = z.real, z.imag
-                        yield (f"{_fmt(s.real)},{_fmt(s.imag)},{br},{bc},"
-                               f"{er},{ec},{_fmt(re)},{_fmt(im)},{status}")
+        head = f"{_fmt(s.real)},{_fmt(s.imag)},"
+        tail = "," + status.replace(",", ";").replace("\n", " ")
+        entries = failed if value is None else (
+            np.asarray(value).reshape(n, m, n, m).transpose(0, 2, 1, 3).ravel())
+        for label, z in zip(labels, entries.tolist()):
+            yield f"{head}{label},{_fmt(z.real)},{_fmt(z.imag)}{tail}"
 
 
 def write_sweep_csv(path, s_values, matrices, statuses,

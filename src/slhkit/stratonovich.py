@@ -37,6 +37,7 @@ from .errors import (
     SingularMatrix,
 )
 from .adiabatic import AFF_COND_LIMIT, scaled_resolvent_limit
+from .characteristic import singular_at
 from .model import SLHModel
 from .operators import (
     DEFAULT_COND_LIMIT,
@@ -227,11 +228,8 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     Ell = 0.5 * (Ell + dagger(Ell))
 
     # Ell must not couple slow and fast plant sectors (within each input block).
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            blk = Ell[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            off = max(off, max_abs(blk[sl, fa]), max_abs(blk[fa, sl]))
+    blocks = Ell.reshape(n, m, n, m)
+    off = max(max_abs(blocks[:, sl, :, fa]), max_abs(blocks[:, fa, :, sl]))
     if off > STRAT_TOL:
         raise AssumptionViolated(
             f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
@@ -251,11 +249,13 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
             f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
         )
 
-    D = scaled_resolvent_limit(
-        1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s,
-        cond_limit=cond_limit,
-    )
+    with singular_at(s, "(s + i Ehat00_ss) not invertible"):
+        D = scaled_resolvent_limit(
+            1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s,
+            cond_limit=cond_limit,
+        )
     G = np.hstack([G0[:, sl], G1[:, fa]])  # columns ordered (slow, fast)
     X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
-    T = (I - X) @ inverse(I + X, cond_limit)
+    with singular_at(s, "(I + X(s)) not invertible"):
+        T = (I - X) @ inverse(I + X, cond_limit)
     return p.unpermute_full(T)

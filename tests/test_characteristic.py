@@ -6,10 +6,12 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from slhkit import (
+    BlockOperatorMatrix,
     BlockPartition,
     FrequencyGrid,
     ResolventSingular,
     SLHModel,
+    ShapeError,
     char_blocks,
     char_op,
     char_op_allpass,
@@ -30,9 +32,12 @@ from slhkit import (
     coefficients_from_parts,
     schur_feshbach,
     series_product,
+    sigma_allpass_limit,
+    strat_adiabatic_limit,
     sweep,
     transfer_function,
     unitarity_check,
+    vacuum_expectation,
     vacuum_expectation_char,
 )
 from slhkit import zoo
@@ -183,6 +188,38 @@ def test_vacuum_expectation_partial_contraction_optomech():
     mirror_op = vacuum_expectation_char(model, s, dims=dims, vacuum_modes=(0,))
     oracle = zoo.closed_form_char("optomech", params, s)
     assert max_abs(mirror_op - oracle) <= 1e-10
+
+
+def _vacuum_reference(data, m, dims, vacuum_modes):
+    """Per-block contraction: reshape each block to a tensor, index the vacuum."""
+    nf = len(dims)
+    keep = int(np.prod([d for i, d in enumerate(dims) if i not in vacuum_modes]))
+    rows = []
+    for j in range(data.shape[0] // m):
+        row = []
+        for k in range(data.shape[1] // m):
+            B = data[j * m:(j + 1) * m, k * m:(k + 1) * m].reshape(dims + dims)
+            idx = [slice(None)] * (2 * nf)
+            for v in vacuum_modes:
+                idx[v] = idx[nf + v] = 0
+            row.append(B[tuple(idx)].reshape(keep, keep))
+        rows.append(row)
+    return np.block(rows)
+
+
+@pytest.mark.parametrize("vacuum_modes", [(0, 1, 2), (0, 2), (1,), ()])
+def test_vacuum_expectation_matches_per_block_contraction(rng, vacuum_modes):
+    dims = (2, 3, 2)
+    data = rng.standard_normal((2 * 12, 3 * 12)) + 1j * rng.standard_normal((2 * 12, 3 * 12))
+    got = vacuum_expectation(BlockOperatorMatrix(data, 12), dims, vacuum_modes)
+    assert np.array_equal(got, _vacuum_reference(data, 12, dims, vacuum_modes))
+
+
+@pytest.mark.parametrize("vacuum_modes", [(2,), (5,), (-1,), (0, 2)])
+def test_vacuum_expectation_rejects_modes_out_of_range(vacuum_modes):
+    T = BlockOperatorMatrix(identity(12), 6)
+    with pytest.raises(ShapeError, match=r"\[0, 2\)"):
+        vacuum_expectation(T, (2, 3), vacuum_modes)
 
 
 def test_perturbation_series_examples():
@@ -375,6 +412,11 @@ _SINGULAR_ROUTES = {
         _CAVITY_POLE),
     "char_blocks": (lambda s: char_blocks(_CAVITY, _ONE_SLOW, s), _CAVITY_POLE),
     "limit_char_op": (lambda s: limit_char_op(_FAMILY, s), -0.5 + 0j),
+    "strat_adiabatic_limit": (lambda s: strat_adiabatic_limit(_FAMILY, s), -0.5 + 0j),
+    # the Stratonovich slow resolvent has its own pole at the shifted frequency 0
+    "strat_adiabatic_limit_slow_resolvent": (
+        lambda s: strat_adiabatic_limit(_FAMILY, s), 0j),
+    "sigma_allpass_limit": (lambda s: sigma_allpass_limit(_FAMILY, s), 0j),
     "direct_sweep_point": (
         lambda s: _schur_char_op(_CAVITY, DEFAULT_COND_LIMIT)(s), _CAVITY_POLE),
 }

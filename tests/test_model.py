@@ -123,6 +123,43 @@ def test_heisenberg_drift_hermitian_for_hermitian_observable(rng):
     assert max_abs(co.drift - dagger(co.drift)) <= 1e-12
 
 
+def _heisenberg_reference(model, X):
+    """The per-block sums of the heisenberg_coeffs docstring, term by term."""
+    n = model.n_inputs
+    Ls = [model.l_block(i) for i in range(n)]
+    S = model.s_block
+    drift = -1j * (X @ model.H - model.H @ X)
+    for Li in Ls:
+        drift = drift + 0.5 * dagger(Li) @ (X @ Li - Li @ X)
+        drift = drift + 0.5 * (dagger(Li) @ X - X @ dagger(Li)) @ Li
+    creation = [sum(dagger(S(j, i)) @ (X @ Ls[j] - Ls[j] @ X) for j in range(n))
+                for i in range(n)]
+    annihilation = [sum((dagger(Ls[k]) @ X - X @ dagger(Ls[k])) @ S(k, i) for k in range(n))
+                    for i in range(n)]
+    gauge = [[sum(dagger(S(j, i)) @ X @ S(j, k) for j in range(n)) - (i == k) * X
+              for k in range(n)] for i in range(n)]
+    return drift, creation, annihilation, gauge
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_heisenberg_coeffs_match_per_block_reference(n):
+    rng = np.random.default_rng(7100 + n)
+    for m in (1, 2, 4):
+        model = random_model(rng, n, m)
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        co = heisenberg_coeffs(model, X)
+        drift, creation, annihilation, gauge = _heisenberg_reference(model, X)
+        assert len(co.creation) == len(co.annihilation) == len(co.gauge) == n
+        assert max_abs(co.drift - drift) <= 1e-12
+        for i in range(n):
+            assert co.creation[i].shape == co.annihilation[i].shape == (m, m)
+            assert max_abs(co.creation[i] - creation[i]) <= 1e-12
+            assert max_abs(co.annihilation[i] - annihilation[i]) <= 1e-12
+            assert len(co.gauge[i]) == n
+            for k in range(n):
+                assert max_abs(co.gauge[i][k] - gauge[i][k]) <= 1e-12
+
+
 def test_heisenberg_shape_mismatch():
     with pytest.raises(ShapeError):
         heisenberg_coeffs(_identity_model(), identity(3))

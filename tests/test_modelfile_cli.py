@@ -1,6 +1,7 @@
 """Model-file container, sweep CSV, SVG emission, and the CLI contract."""
 
 import json
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -128,6 +129,53 @@ def test_sweep_csv_records_singular_points(tmp_path):
     assert all("nan" in l for l in bad)
 
 
+def _dyadic_sweep_columns():
+    """A real-axis direct sweep of an n = 2, m = 2 model, one point singular.
+
+    S is a permutation with phases, L* L = diag(1, 2) and H = 0, so
+    K = diag(-1/2, -1); at every regular point s + 1/2 and s + 1 are powers
+    of two.  Every number the sweep forms is then a short dyadic rational,
+    so the file does not depend on how the BLAS orders its sums.
+    """
+    S = np.zeros((4, 4), dtype=complex)
+    S[0, 3], S[1, 2], S[2, 0], S[3, 1] = 1j, -1, 1, 1j
+    L = 0.5 * np.array([[1, 1 + 1j], [1, -1 - 1j], [1, 1 + 1j], [1, -1 - 1j]])
+    model = SLHModel(S=S, L=L, H=np.zeros((2, 2)))
+    grid = FrequencyGrid(axis="real", points=np.array([-1.5, -0.75, -0.5, 0.0]))
+    return (*modelfile.from_sweep_result(sweep(model, grid)), 2, 2)
+
+
+def _random_writer_columns():
+    """n = 3, m = 2 entries with 17-digit tails, two failed points.
+
+    ``Generator.random`` draws are exact multiples of 2^-53, so these inputs
+    are the same on every platform.
+    """
+    rng = np.random.default_rng(20261018)
+    matrices = []
+    for scale in (1.0, 1e-7, 3e5):
+        z = (rng.random((6, 6)) - 0.5) + 1j * (rng.random((6, 6)) - 0.5)
+        z[0, 1] = 0.0
+        z[2, 3] = complex(-0.0, 1.0)
+        matrices.append(scale * z)
+    matrices[1:1] = [None]
+    matrices.append(None)
+    s_values = [0.25j, 0.5j, 0.75j, 1j, 1.25j]
+    statuses = ["ok", "Resolvent, singular\nat s", "ok", "ok", "singular"]
+    return s_values, matrices, statuses, 3, 2
+
+
+@pytest.mark.parametrize("case, columns", [
+    ("sweep_dyadic_n2", _dyadic_sweep_columns),
+    ("sweep_random_n3", _random_writer_columns),
+])
+def test_sweep_csv_matches_golden_file(tmp_path, case, columns):
+    path = tmp_path / f"{case}.csv"
+    modelfile.write_sweep_csv(path, *columns())
+    golden = Path(__file__).parent / "data" / f"{case}.csv"
+    assert path.read_bytes() == golden.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # CLI contract
 # ---------------------------------------------------------------------------
@@ -166,14 +214,25 @@ def test_cli_check_pass_fail_and_io(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["check", "limit"])
-@pytest.mark.parametrize("defect", ["nan_entry", "duplicate_slow_indices"])
+@pytest.mark.parametrize("defect", ["nan_entry", "duplicate_slow_indices",
+                                    "huge_int_entry", "bool_entry",
+                                    "bool_n_inputs", "bool_slow_index"])
 def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
     path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=2")
     doc = json.loads(path.read_text())
+    assert doc["n_inputs"] == 1 and doc["slow_indices"] == [0, 3]
     if defect == "nan_entry":
         doc["H0"][0][0] = [float("nan"), 0.0]
-    else:
+    elif defect == "duplicate_slow_indices":
         doc["slow_indices"] = [0, 0]
+    elif defect == "huge_int_entry":
+        doc["H0"][0][0] = [10 ** 400, 0]  # past the float range
+    elif defect == "bool_entry":
+        doc["H0"][0][0] = [True, 0.0]
+    elif defect == "bool_n_inputs":
+        doc["n_inputs"] = True
+    else:
+        doc["slow_indices"] = [False, 3]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     res = runner.invoke(main, [command, str(bad)])
