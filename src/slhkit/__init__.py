@@ -92,15 +92,12 @@ from .reduction import (
 from .adiabatic import (
     AssumptionReport,
     ConvergenceStudy,
-    KZRDecomposition,
     LimitModel,
     ScaledSLHFamily,
     assemble_k,
     check_assumptions,
     check_decoupling,
     convergence_study,
-    finite_k_scaled_resolvent,
-    kzr_decompose,
     limit_char_op,
     limit_slh,
     scaled_resolvent_limit,

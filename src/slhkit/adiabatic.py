@@ -10,8 +10,8 @@ H(k) = H0 + k H1 + k^2 H2 over a slow/fast split of the plant space, with
 
 The generator decomposes as K(k) = k^2 A + k Z + R with A supported on the
 fast-fast block.  As k grows the characteristic operator converges to a
-limit model whose coefficients are Schur complements in A_ff; the limit is
-always computed from those closed forms, never by extrapolating finite k.
+limit model whose coefficients are Schur complements in A_ff.  One balanced
+pencil in eps = 1/k gives T_k(s) for every k in (0, inf]; eps = 0 is the limit.
 The slow-first permutation, the blocks A, Z, R and the structural residuals
 are derived once per family object and shared by every routine here.
 """
@@ -38,6 +38,7 @@ from .operators import (
     is_hermitian,
     is_unitary,
     max_abs,
+    solve,
 )
 from .reduction import BlockPartition, BlockedOperator, block_inverse
 
@@ -100,6 +101,9 @@ class _SlowFirst:
     Holds the permutations, the family matrices reordered so the slow block
     leads, K(k) = k^2 A + k Z + R in that order, the structural,
     Hermiticity and K-identity residuals, and the condition estimate of A_ff.
+    A lives on the fast-fast block and Z_ss = 0.  By construction the K
+    identities R_ss + R_ss* = -L0_s* L0_s, Z_sf + Z_fs* = -L0_s* L1_f and
+    A_ff + A_ff* = -L1_f* L1_f hold; ``identities`` holds their residuals.
     """
 
     def __init__(self, family: ScaledSLHFamily):
@@ -134,10 +138,14 @@ class _SlowFirst:
             name: is_hermitian(M)[1]
             for name, M in (("H0", family.H0), ("H1", family.H1), ("H2", family.H2))
         }
-        self.identities = _identity_residuals(
-            self.R[sl, sl], self.Z[sl, fa], self.Z[fa, sl], self.A[fa, fa],
-            self.L0[:, sl], self.L1[:, fa])
-        self.aff_condition = condition_estimate(self.A[fa, fa])
+        L0s, L1f, A_ff = self.L0[:, sl], self.L1[:, fa], self.A[fa, fa]
+        R_ss, Z_sf, Z_fs = self.R[sl, sl], self.Z[sl, fa], self.Z[fa, sl]
+        self.identities = {
+            "R_ss": max_abs(R_ss + dagger(R_ss) + dagger(L0s) @ L0s),
+            "Z_sf": max_abs(Z_sf + dagger(Z_fs) + dagger(L0s) @ L1f),
+            "A_ff": max_abs(A_ff + dagger(A_ff) + dagger(L1f) @ L1f),
+        }
+        self.aff_condition = condition_estimate(A_ff)
 
     def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
         return X[np.ix_(self.inv_m, self.inv_m)]
@@ -147,43 +155,6 @@ class _SlowFirst:
 
     def unpermute_full(self, X: np.ndarray) -> np.ndarray:
         return X[np.ix_(self.inv_nm, self.inv_nm)]
-
-
-def _identity_residuals(R_ss, Z_sf, Z_fs, A_ff, L0s, L1f) -> dict:
-    """Residuals of the three K identities (see :class:`KZRDecomposition`)."""
-    return {
-        "R_ss": max_abs(R_ss + dagger(R_ss) + dagger(L0s) @ L0s),
-        "Z_sf": max_abs(Z_sf + dagger(Z_fs) + dagger(L0s) @ L1f),
-        "A_ff": max_abs(A_ff + dagger(A_ff) + dagger(L1f) @ L1f),
-    }
-
-
-@dataclass(frozen=True)
-class KZRDecomposition:
-    """K(k) = k^2 A + k Z + R, stored in the original basis order.
-
-    A is supported on the fast-fast block only; the slow/fast block
-    coordinates A_ff, Z_sf, Z_fs, R_ss are kept alongside.  Three algebraic
-    identities hold by construction:
-
-        R_ss + R_ss* = -L0_cs* L0_cs
-        Z_sf + Z_fs* = -L0_cs* L1_cf
-        A_ff + A_ff* = -L1_cf* L1_cf
-    """
-
-    A: np.ndarray
-    Z: np.ndarray
-    R: np.ndarray
-    A_ff: np.ndarray
-    Z_sf: np.ndarray
-    Z_fs: np.ndarray
-    R_ss: np.ndarray
-    partition: BlockPartition
-
-    def identity_residuals(self, family: ScaledSLHFamily) -> dict:
-        p = family._slow_first
-        return _identity_residuals(self.R_ss, self.Z_sf, self.Z_fs, self.A_ff,
-                                   p.L0[:, p.sl], p.L1[:, p.fa])
 
 
 def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
@@ -205,21 +176,6 @@ def assemble_k(family: ScaledSLHFamily, k: float) -> SLHModel:
         S=family.S,
         L=k * family.L1 + family.L0,
         H=family.H0 + k * family.H1 + k * k * family.H2,
-    )
-
-
-def kzr_decompose(family: ScaledSLHFamily) -> KZRDecomposition:
-    """Split K(k) = k^2 A + k Z + R along the slow/fast blocks."""
-    p = _require_structure(family)
-    return KZRDecomposition(
-        A=p.unpermute_plant(p.A),
-        Z=p.unpermute_plant(p.Z),
-        R=p.unpermute_plant(p.R),
-        A_ff=p.A[p.fa, p.fa],
-        Z_sf=p.Z[p.sl, p.fa],
-        Z_fs=p.Z[p.fa, p.sl],
-        R_ss=p.R[p.sl, p.sl],
-        partition=family.partition,
     )
 
 
@@ -300,38 +256,41 @@ def scaled_resolvent_limit(M11, M12, M21, M22, s,
     return D
 
 
-def finite_k_scaled_resolvent(M11, M12, M21, M22, s, k: float,
-                              cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """diag(1, k) (s + M(k))^-1 diag(1, k) at finite k (oracle for the limit)."""
-    M11 = np.asarray(M11, dtype=complex)
-    M22 = np.asarray(M22, dtype=complex)
-    ms, mf = M11.shape[0], M22.shape[0]
-    M = np.zeros((ms + mf, ms + mf), dtype=complex)
-    M[:ms, :ms] = M11
-    M[:ms, ms:] = k * np.asarray(M12, dtype=complex)
-    M[ms:, :ms] = k * np.asarray(M21, dtype=complex)
-    M[ms:, ms:] = k * k * M22
-    D = np.diag(np.concatenate([np.ones(ms), k * np.ones(mf)])).astype(complex)
-    R = inverse(s * np.eye(ms + mf) + M, cond_limit)
-    return D @ R @ D
+def _pencil_char_op(p: _SlowFirst, s, eps: float, cond_limit: float) -> np.ndarray:
+    """T_k(s) = S - G N^-1 G* S at eps = 1/k, slow-first; eps = 0 is the limit.
+
+    With W = diag(1, eps), Z_ss = 0 and A fast-fast only, N = W (s - K(1/eps)) W
+    and G = L(1/eps) W are O(1) for every k >= 1:
+
+        N = [[ s - R_ss,            -(Z_sf + eps R_sf)                    ],
+             [ -(Z_fs + eps R_fs),  -(A_ff + eps Z_ff) + eps^2 (s - R_ff) ]]
+        G = [ L0_s | L1_f + eps L0_f ]
+
+    Below k = 1, W = I.  N is solved whole: its fast block can be singular
+    where s - K(k) is not.
+    """
+    t, u = (eps, 1.0) if eps <= 1.0 else (1.0, 1.0 / eps)  # W = diag(1, t), k = u / t
+    sl, fa = p.sl, p.fa
+    w = np.where(np.arange(p.m) < p.ms, 1.0, t)
+    N = w[:, None] * (s * np.eye(p.m) - p.R) * w
+    N[sl, fa] -= u * p.Z[sl, fa]
+    N[fa, sl] -= u * p.Z[fa, sl]
+    N[fa, fa] -= u * (u * p.A[fa, fa] + t * p.Z[fa, fa])
+    G = np.hstack([p.L0[:, sl], u * p.L1[:, fa] + t * p.L0[:, fa]])
+    with singular_at(s, f"(s - K(k)) not invertible at k = {1 / eps if eps else np.inf:g}"):
+        X = solve(N, dagger(G) @ p.S, cond_limit)
+    return p.S - G @ X
 
 
 def limit_char_op(family: ScaledSLHFamily, s,
                   cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
-    """Limit characteristic operator, evaluated from the scaled-resolvent limit.
+    """Limit characteristic operator That(s), the balanced pencil at eps = 0.
 
-    That(s) = S - [L0_slow | L1_fast] Dhat(s) [L0_slow | L1_fast]* S, where
-    Dhat is the limit of diag(1,k) (s - K(k))^-1 diag(1,k).  Returned in the
-    original basis order.
+    There N = [[s - R_ss, -Z_sf], [-Z_fs, -A_ff]], whose Schur complement in
+    A_ff is s - Khat_ss.  Returned in the original basis order.
     """
     p = _require_assumptions(family)
-    sl, fa = p.sl, p.fa
-    with singular_at(s, "(s - Khat_ss) not invertible"):
-        D = scaled_resolvent_limit(-p.R[sl, sl], -p.Z[sl, fa], -p.Z[fa, sl],
-                                   -p.A[fa, fa], s, cond_limit)
-    Dfull = np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]])
-    Lred = np.hstack([p.L0[:, sl], p.L1[:, fa]])  # nm x m, columns ordered (slow, fast)
-    T = p.S - Lred @ Dfull @ dagger(Lred) @ p.S
+    T = _pencil_char_op(p, s, 0.0, cond_limit)
     return BlockOperatorMatrix(p.unpermute_full(T), family.dim, kind="char_op")
 
 
@@ -516,16 +475,18 @@ def convergence_study(family: ScaledSLHFamily, s, k_values,
                       cond_limit: float = DEFAULT_COND_LIMIT) -> ConvergenceStudy:
     """Tabulate ||T_k(s) - That(s)|| over k and fit the log-log slope.
 
-    The fit uses least squares over points with k >= 100 and is omitted when
+    Both come from the balanced pencil; each k must be finite and > 0.  The
+    fit uses least squares over points with k >= 100 and is omitted when
     fewer than 3 such points exist.  The expected slope is -1 (leading 1/k
-    correction).
+    correction), or -2 when the first-order term vanishes (``kerr_qubit``).
     """
-    That = limit_char_op(family, s, cond_limit).data
     ks = [float(k) for k in k_values]
-    errors = []
-    for k in ks:
-        Tk = char_op(assemble_k(family, k), s, cond_limit).data
-        errors.append(max_abs(Tk - That))
+    bad = [k for k in ks if not (np.isfinite(k) and k > 0)]
+    if bad:
+        raise BadParam(f"strengths k must be finite and > 0, got {bad}")
+    p = _require_assumptions(family)
+    That = _pencil_char_op(p, s, 0.0, cond_limit)
+    errors = [max_abs(_pencil_char_op(p, s, 1.0 / k, cond_limit) - That) for k in ks]
     fit_pts = [(k, e) for k, e in zip(ks, errors) if k >= 100 and e > 0]
     slope = intercept = None
     if len(fit_pts) >= 3:

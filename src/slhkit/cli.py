@@ -70,10 +70,10 @@ def _write_text(path, text):
 def _parse_complex(text: str, what: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:
+            z = complex(*(float(p) for p in parts))
+            if np.isfinite(z):
+                return z
     except ValueError:
         pass
     raise click.ClickException(f"cannot parse {what} {text!r}; use 're' or 're,im'")
@@ -240,9 +240,9 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
 @click.option("--emit", "emit_path", default=None,
               help="write the reduced slow model here when decoupled")
 @click.option("--study", "study_spec", default=None,
-              help="comma-separated k values for a convergence study; the "
-                   "study checks the family at the default tolerance 1e-9, "
-                   "whatever --tol is")
+              help="comma-separated k values, each finite and > 0, for a "
+                   "convergence study; the study checks the family at the "
+                   "default tolerance 1e-9, whatever --tol is")
 @click.option("--s", "s_point", default="1,0", help="evaluation point 're,im'")
 @click.option("--tol", type=float, default=None,
               help="tolerance of the assumption report and the limit model")

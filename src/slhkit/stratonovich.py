@@ -210,7 +210,9 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     Requires Ell (computed from S) to be block diagonal with respect to the
     partition and the k^2 drift block E00_ff to be invertible.  The result
     equals the limit of the direct route (limit_slh / limit_char_op) and is
-    returned in the original basis order.
+    returned in the original basis order.  It raises ResolventSingular at
+    poles of (s + i Ehat00_ss)^-1 that cancel in (I - X)(I + X)^-1, where
+    the limit is finite; limit_char_op evaluates there.
     """
     p = family._slow_first
     S, L0, L1, H0, H1, H2 = p.S, p.L0, p.L1, p.H0, p.H1, p.H2

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slhkit import (
     AssumptionViolated,
@@ -21,13 +22,11 @@ from slhkit import (
     convergence_study,
     dagger,
     annihilator,
-    finite_k_scaled_resolvent,
     identity,
     imag_part,
     inverse,
     k_operator,
     kron,
-    kzr_decompose,
     limit_char_op,
     limit_slh,
     max_abs,
@@ -79,9 +78,10 @@ def test_assemble_k_rejects_broken_structure():
 
 def test_kzr_detuned_two_level_fast_generator():
     fam = zoo.build("detuned_two_level", delta=2.5)
-    kzr = kzr_decompose(fam)
-    assert kzr.A_ff.shape == (1, 1)
-    assert abs(kzr.A_ff[0, 0] - (-2.5j)) <= 1e-14
+    p = fam._slow_first
+    A_ff = p.A[p.fa, p.fa]
+    assert A_ff.shape == (1, 1)
+    assert abs(A_ff[0, 0] - (-2.5j)) <= 1e-14
 
 
 def test_kzr_zero_family_is_zero():
@@ -90,35 +90,35 @@ def test_kzr_zero_family_is_zero():
                           L1=np.zeros((2, 2)), H0=np.zeros((2, 2)),
                           H1=np.zeros((2, 2)), H2=np.zeros((2, 2)),
                           partition=part)
-    kzr = kzr_decompose(fam)
-    assert max_abs(kzr.A) == 0.0 and max_abs(kzr.Z) == 0.0 and max_abs(kzr.R) == 0.0
+    p = fam._slow_first
+    assert max_abs(p.A) == 0.0 and max_abs(p.Z) == 0.0 and max_abs(p.R) == 0.0
 
 
 def test_kzr_lambda_matches_displayed_generator():
     gamma, g, n_max = 1.4, 0.9, 3
     fam = zoo.build("lambda_system", gamma=gamma, alpha=0.3, g=g, n_max=n_max)
-    kzr = kzr_decompose(fam)
+    p = fam._slow_first
     a = annihilator(n_max)
     E = np.zeros((3, 3), dtype=complex)  # |e><g1| with levels (g1, g2, e)
     E[2, 0] = 1.0
     A_expected = (-0.5 * gamma * kron(identity(3), number(n_max))
                   + g * (kron(E, a) - kron(dagger(E), dagger(a))))
-    assert max_abs(kzr.A - A_expected) <= 1e-13
+    assert max_abs(p.unpermute_plant(p.A) - A_expected) <= 1e-13
 
 
 def test_kzr_reassembles_k_at_spot_strengths(rng):
     fam = random_family(rng, 2, 2, 3, contiguous=False)
-    kzr = kzr_decompose(fam)
+    p = fam._slow_first
+    A, Z, R = (p.unpermute_plant(M) for M in (p.A, p.Z, p.R))
     for k in (0.5, 3.0, 17.0):
         K_direct = k_operator(assemble_k(fam, k))
-        K_kzr = k * k * kzr.A + k * kzr.Z + kzr.R
+        K_kzr = k * k * A + k * Z + R
         assert max_abs(K_direct - K_kzr) <= 1e-9 * max(1.0, k * k)
 
 
 def test_kzr_identity_residuals_tiny(rng):
     fam = random_family(rng, 2, 2, 2)
-    kzr = kzr_decompose(fam)
-    residuals = kzr.identity_residuals(fam)
+    residuals = fam._slow_first.identities
     assert max(residuals.values()) <= 1e-12
 
 
@@ -148,11 +148,7 @@ def test_check_assumptions_pass_and_fail_modes():
     assert not report.passed()
 
 
-def test_report_identity_residuals_only_for_sound_structure(rng):
-    good = random_family(rng, 2, 2, 3, contiguous=False)
-    report = check_assumptions(good)
-    kzr = kzr_decompose(good)
-    assert report.k_identity_residuals == kzr.identity_residuals(good)
+def test_report_identity_residuals_only_for_sound_structure():
     # the identities are withheld whenever structure or Hermiticity fails at
     # the default tolerance, even when the report's own tolerance is looser
     fam = zoo.build("detuned_two_level", delta=2.0)
@@ -186,22 +182,6 @@ def test_scaled_resolvent_limit_scalar_precondition():
         scaled_resolvent_limit(zero, one, one, one, 1.0)
 
 
-def test_scaled_resolvent_limit_finite_k_oracle(rng):
-    M11 = random_complex(rng, 2, 2)
-    M12 = random_complex(rng, 2, 2)
-    M21 = random_complex(rng, 2, 2)
-    M22 = random_complex(rng, 2, 2) + 3 * identity(2)
-    s = 0.9 + 0.2j
-    D = scaled_resolvent_limit(M11, M12, M21, M22, s)
-    Dfull = np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]])
-    errs = []
-    for k in (1e3, 1e6):
-        Rk = finite_k_scaled_resolvent(M11, M12, M21, M22, s, k)
-        errs.append(max_abs(Rk - Dfull))
-    assert errs[-1] <= 1e-4
-    assert errs[-1] < errs[0]
-
-
 def test_limit_char_op_detuned_closed_form():
     params = dict(gamma=0.9, kappa=0.3, delta=2.2, beta=1.1 + 0.4j, omega0=0.6)
     fam = zoo.build("detuned_two_level", **params)
@@ -209,6 +189,11 @@ def test_limit_char_op_detuned_closed_form():
         T = limit_char_op(fam, s).data
         Z = zoo.closed_form_char("detuned_two_level", params, s)
         assert max_abs(T - Z) <= 1e-10
+    # the Stratonovich route has a removable pole here; the pencil does not
+    params = dict(gamma=1.0, kappa=0.3, delta=4.0, beta=2.0, omega0=1.0)
+    fam = zoo.build("detuned_two_level", **params)
+    Z = zoo.closed_form_char("detuned_two_level", params, 0.0)
+    assert max_abs(limit_char_op(fam, 0.0).data - Z) <= 1e-10
 
 
 def test_limit_char_op_zero_at_matched_shift():
@@ -444,6 +429,48 @@ def test_convergence_study_slopes_and_short_lists():
 
     single = convergence_study(fam, 1.0, [500.0])
     assert single.slope is None and len(single.errors) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_inputs=st.sampled_from([1, 2, 3]),
+       contiguous=st.booleans())
+def test_convergence_study_matches_assembled_models(seed, n_inputs, contiguous):
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, n_inputs, int(rng.integers(1, 3)),
+                        int(rng.integers(1, 4)), contiguous=contiguous)
+    s = complex(rng.uniform(0.3, 2.0), rng.uniform(-2.0, 2.0))
+    ks = [1e2, 1e3, 1e4, 1e5]
+    study = convergence_study(fam, s, ks)
+    That = limit_char_op(fam, s).data
+    for k, err in study.rows():
+        want = max_abs(char_op(assemble_k(fam, k), s).data - That)
+        assert abs(err - want) <= 1e-12, (k, err, want)
+
+
+def test_convergence_study_evaluates_far_past_assembled_models():
+    # s - K(k) is refused from k = 1e6 on; the balanced pencil is not
+    cases = [
+        ("detuned_two_level", {}, -1.0),
+        ("lambda_system", {"n_max": 40}, -1.0),
+        ("kerr_qubit", {}, -2.0),   # zero first-order correction
+    ]
+    for name, kwargs, slope in cases:
+        fam = zoo.build(name, **kwargs)
+        study = convergence_study(fam, 1.0, [1e5, 1e6, 1e7, 1e8])
+        assert study.slope == pytest.approx(slope, abs=0.01), name
+
+
+def test_convergence_study_small_k_and_invalid_k():
+    # below k = 1 the pencil is s - K(k) itself, down to k = 1e-200
+    fam = zoo.build("lambda_system", n_max=5)
+    study = convergence_study(fam, 1.0, [1e-200, 1e-9, 1e-3, 0.5])
+    That = limit_char_op(fam, 1.0).data
+    for k, err in study.rows():
+        want = max_abs(char_op(assemble_k(fam, k), 1.0).data - That)
+        assert abs(err - want) <= 1e-12, (k, err, want)
+    for bad in (0.0, -10.0, float("nan"), float("inf")):
+        with pytest.raises(BadParam, match="finite and > 0"):
+            convergence_study(fam, 1.0, [10.0, bad])
 
 
 def test_zoo_families_finite_k_error_bounded():

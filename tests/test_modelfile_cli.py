@@ -265,6 +265,17 @@ def test_cli_limit_study_reports_strict_recheck_in_one_line(runner, tmp_path):
     help_text = runner.invoke(main, ["limit", "--help"]).output
     assert "1e-9" in " ".join(help_text.split())
 
+    # strengths that are zero or not finite are refused the same way
+    good = _write_zoo(runner, tmp_path, "detuned_two_level")
+    for spec in ("0,10", "nan"):
+        res = runner.invoke(main, ["limit", str(good), "--study", spec])
+        assert res.exit_code == 1, spec
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        errors = [l for l in res.output.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and errors[0] == res.output.splitlines()[-1]
+        assert errors[0].startswith("error: convergence study failed: ")
+
 
 def test_cli_check_family_reports_assumptions(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "detuned_two_level", "delta=2.0")
@@ -306,6 +317,16 @@ def test_cli_eval_single_point_and_plot(runner, tmp_path):
                                "--out", str(out)])
     assert res.exit_code == 0
     assert len(out.read_text().splitlines()) == 1 + 4
+
+    # a point that is not finite is refused before any evaluation
+    fam = _write_zoo(runner, tmp_path, "detuned_two_level")
+    for args in (["eval", str(path), "--s", "nan,0"],
+                 ["eval", str(path), "--s", "inf,1"],
+                 ["limit", str(fam), "--study", "10", "--s", "nan,0"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, args
+        assert "Traceback" not in res.output
+        assert "cannot parse --s" in res.output
 
     svg = tmp_path / "trace.svg"
     res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
