@@ -15,7 +15,9 @@ Schur-form frequency response, IEEE TAC 26(2), 1981), and solves each
 point against (s - T): one triangular solve per point, guarded by a LAPACK
 1-norm condition estimate of the triangular factor.  The Schur form is
 taken per strongly connected component of K's nonzero pattern, so entries
-that are exactly zero in every point's result stay exactly zero.
+that are exactly zero in every point's result stay exactly zero.  Every
+route refuses a condition estimate above ``operators.DEFAULT_COND_LIMIT``
+(1e12); no evaluation route takes a limit of its own.
 """
 
 from __future__ import annotations
@@ -53,36 +55,36 @@ def singular_at(s, message=None):
         raise ResolventSingular(s, message, cond_estimate=exc.cond_estimate) from None
 
 
-def resolvent_solve(M, s, B=None, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def resolvent_solve(M, s, B=None) -> np.ndarray:
     """(sI - M)^-1 B, or (sI - M)^-1 when B is None; ResolventSingular on failure."""
     M = np.asarray(M, dtype=complex)
     A = s * np.eye(M.shape[0]) - M
     with singular_at(s):
-        return inverse(A, cond_limit) if B is None else solve(A, B, cond_limit)
+        return inverse(A) if B is None else solve(A, B)
 
 
-def char_op(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+def char_op(model: SLHModel, s) -> BlockOperatorMatrix:
     """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
-    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S, cond_limit)
+    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S)
     return BlockOperatorMatrix(model.S - model.L @ X, model.dim, kind="char_op")
 
 
-def sigma_kernel(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+def sigma_kernel(model: SLHModel, s) -> BlockOperatorMatrix:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
-    R = resolvent_solve(-1j * model.H, s, None, cond_limit)
+    R = resolvent_solve(-1j * model.H, s)
     return BlockOperatorMatrix(model.L @ R @ dagger(model.L), model.dim, kind="sigma")
 
 
-def char_op_allpass(model: SLHModel, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+def char_op_allpass(model: SLHModel, s) -> BlockOperatorMatrix:
     """All-pass evaluation T(s) = (1 - Sigma/2)(1 + Sigma/2)^-1 S."""
-    Sig = sigma_kernel(model, s, cond_limit).data
+    Sig = sigma_kernel(model, s).data
     I = np.eye(Sig.shape[0], dtype=complex)
     with singular_at(s, "(1 + Sigma/2) not invertible"):
-        denom = inverse(I + 0.5 * Sig, cond_limit)
+        denom = inverse(I + 0.5 * Sig)
     return BlockOperatorMatrix((I - 0.5 * Sig) @ denom @ model.S, model.dim, kind="char_op")
 
 
-def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+def char_op_stratonovich(coeffs, s) -> BlockOperatorMatrix:
     """Evaluate T(s) from Stratonovich coefficients.
 
     With X(s) = (i/2) Ell + 1/2 El0 (s + i E00)^-1 E0l, the characteristic
@@ -90,25 +92,24 @@ def char_op_stratonovich(coeffs, s, cond_limit: float = DEFAULT_COND_LIMIT) -> B
     transform of Ell, i.e. the scattering matrix.
     """
     E00 = coeffs.E00
-    R = resolvent_solve(-1j * E00, s, None, cond_limit)
+    R = resolvent_solve(-1j * E00, s)
     X = 0.5j * coeffs.Ell + 0.5 * coeffs.El0 @ R @ coeffs.E0l
     I = np.eye(X.shape[0], dtype=complex)
     with singular_at(s, "(I + X(s)) not invertible"):
-        denom = inverse(I + X, cond_limit)
+        denom = inverse(I + X)
     return BlockOperatorMatrix((I - X) @ denom, E00.shape[0], kind="char_op")
 
 
-def transfer_function(abcd_matrices, s, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def transfer_function(abcd_matrices, s) -> np.ndarray:
     """Classical transfer function T(s) = D + C (sI - A)^-1 B."""
     A, B, C, D = (np.asarray(M, dtype=complex) for M in abcd_matrices)
-    R = resolvent_solve(A, s, None, cond_limit)
+    R = resolvent_solve(A, s)
     return D + C @ R @ B
 
 
-def unitarity_check(model: SLHModel, omega: float, tol: float = 1e-9,
-                    cond_limit: float = DEFAULT_COND_LIMIT):
+def unitarity_check(model: SLHModel, omega: float, tol: float = 1e-9):
     """Check T(i w)* T(i w) = T(i w) T(i w)* = I; return (ok, residual)."""
-    T = char_op(model, 1j * omega, cond_limit).data
+    T = char_op(model, 1j * omega).data
     I = np.eye(T.shape[0])
     r = max(max_abs(dagger(T) @ T - I), max_abs(T @ dagger(T) - I))
     return r <= tol, r
@@ -141,14 +142,12 @@ def vacuum_expectation(block_matrix: BlockOperatorMatrix, dims, vacuum_modes=Non
     return np.array(T[tuple(idx)]).reshape(nr * mkeep, nc * mkeep)
 
 
-def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None,
-                            cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None) -> np.ndarray:
     """Vacuum matrix elements <0|T(s)_jk|0> of the characteristic operator."""
-    return vacuum_expectation(char_op(model, s, cond_limit), dims, vacuum_modes)
+    return vacuum_expectation(char_op(model, s), dims, vacuum_modes)
 
 
-def perturbation_series(model0: SLHModel, V, lam: float, order: int, s,
-                        cond_limit: float = DEFAULT_COND_LIMIT) -> BlockOperatorMatrix:
+def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> BlockOperatorMatrix:
     """Neumann series for the Hamiltonian perturbation H = H0 + lam * V.
 
     T(s) = T0(s) - sum_{q=1}^{order} (-i lam)^q  L R0 (V R0)^q L* S,
@@ -160,7 +159,7 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s,
         raise ShapeError("V must act on the plant space")
     if order < 0:
         raise ShapeError("order must be >= 0")
-    R0 = resolvent_solve(k_operator(model0), s, None, cond_limit)
+    R0 = resolvent_solve(k_operator(model0), s)
     LS = dagger(model0.L) @ model0.S
     T = model0.S - model0.L @ R0 @ LS
     W = R0
@@ -188,8 +187,8 @@ class FrequencyGrid:
         pts = np.asarray(self.points, dtype=float).ravel()
         if pts.size == 0:
             raise ShapeError("grid must be nonempty")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
-            raise ShapeError("grid points must be strictly increasing")
+        if not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
+            raise ShapeError("grid points must be finite and strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -252,7 +251,7 @@ def _block_schur(K):
     return T, Z
 
 
-def _schur_char_op(model: SLHModel, cond_limit: float):
+def _schur_char_op(model: SLHModel):
     """s -> T(s) against one Schur factor of K: S - (L Z)(s - T)^-1 (Z* L* S)."""
     T, Z = _block_schur(k_operator(model))
     LZ = model.L @ Z
@@ -263,15 +262,14 @@ def _schur_char_op(model: SLHModel, cond_limit: float):
         A = s * I - T
         rcond, _ = ztrcon(A, norm="1")
         with singular_at(s):
-            guard_cond(1.0 / rcond if rcond > 0 else np.inf, cond_limit)
+            guard_cond(1.0 / rcond if rcond > 0 else np.inf, DEFAULT_COND_LIMIT)
         X = scipy.linalg.solve_triangular(A, W, check_finite=False)
         return BlockOperatorMatrix(model.S - LZ @ X, model.dim, kind="char_op")
 
     return evaluate
 
 
-def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct",
-          cond_limit: float = DEFAULT_COND_LIMIT) -> SweepResult:
+def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct") -> SweepResult:
     """Evaluate T over a grid; singular points are recorded, not fatal.
 
     ``method="direct"`` factors K once (see the module docstring); the
@@ -282,11 +280,11 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct",
     if method == "stratonovich":
         from .stratonovich import ito_to_stratonovich
         coeffs = ito_to_stratonovich(model)
-        evaluate = lambda s: char_op_stratonovich(coeffs, s, cond_limit)
+        evaluate = lambda s: char_op_stratonovich(coeffs, s)
     elif method == "allpass":
-        evaluate = lambda s: char_op_allpass(model, s, cond_limit)
+        evaluate = lambda s: char_op_allpass(model, s)
     else:
-        evaluate = _schur_char_op(model, cond_limit)
+        evaluate = _schur_char_op(model)
 
     values = []
     residuals = []

@@ -37,14 +37,18 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SLHKIT_TOL")
-    if raw is None:
-        return 1e-9
+def _resolve_tol(tol) -> float:
+    """--tol when given, else SLHKIT_TOL, else 1e-9; refused unless finite and >= 0."""
+    source, raw = "--tol", tol
+    if tol is None:
+        source, raw = "SLHKIT_TOL", os.environ.get("SLHKIT_TOL", "1e-9")
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise click.ClickException(f"SLHKIT_TOL is not a number: {raw!r}")
+        raise click.ClickException(f"{source} is not a number: {raw!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise click.ClickException(f"{source} must be finite and >= 0, got {tol:g}")
+    return tol
 
 
 def _read(path):
@@ -94,7 +98,7 @@ def main():
 @click.option("--tol", type=float, default=None, help="validation tolerance")
 def cmd_check(path, tol):
     """Validate a model file; families also get an assumption report."""
-    tol = tol if tol is not None else _default_tol()
+    tol = _resolve_tol(tol)
     obj = _read(path)
     failed = False
     if isinstance(obj, SLHModel):
@@ -155,6 +159,13 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
         click.echo("error: eval needs an slh or stratonovich file; "
                    "use 'limit' for families", err=True)
         sys.exit(EXIT_VALIDATION)
+    nm = model.n_inputs * model.dim
+    try:
+        r, c = (int(v) for v in entry_spec.split(","))
+    except ValueError:
+        raise click.ClickException("--entry must be 'row,col'")
+    if not (0 <= r < nm and 0 <= c < nm):
+        raise click.ClickException(f"--entry out of range for a {nm}x{nm} matrix")
 
     if (s_point is None) == (sweep_spec is None):
         raise click.ClickException("give exactly one of --s or --sweep")
@@ -188,6 +199,8 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             raise click.ClickException("--sweep must be 'min:max:count'")
         if count < 1:
             raise click.ClickException("--sweep count must be >= 1")
+        if not np.isfinite(hi - lo):  # inf or nan for non-finite bounds too
+            raise click.ClickException("--sweep min, max and max - min must be finite")
         try:
             grid = FrequencyGrid(axis=axis, points=np.linspace(lo, hi, count))
             result = sweep(model, grid, method=method)
@@ -211,13 +224,6 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             sys.exit(EXIT_IO)
         click.echo(f"wrote {out_path}")
     if plot_path:
-        try:
-            r, c = (int(v) for v in entry_spec.split(","))
-        except ValueError:
-            raise click.ClickException("--entry must be 'row,col'")
-        nm = model.n_inputs * model.dim
-        if not (0 <= r < nm and 0 <= c < nm):
-            raise click.ClickException(f"--entry out of range for a {nm}x{nm} matrix")
         vals = [v[r, c] if v is not None else complex("nan")
                 for v in matrices]
         _write_text(plot_path, svgplot.magnitude_phase_svg(
@@ -248,7 +254,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
               help="tolerance of the assumption report and the limit model")
 def cmd_limit(path, emit_path, study_spec, s_point, tol):
     """Assumption report, limit model, decoupling verdict for a family file."""
-    tol = tol if tol is not None else _default_tol()
+    tol = _resolve_tol(tol)
     obj = _read(path)
     if not isinstance(obj, ScaledSLHFamily):
         click.echo("error: limit needs a family file", err=True)

@@ -4,6 +4,10 @@ Everything in this package runs on plain ``numpy`` arrays of dtype
 ``complex128``.  Problem sizes are desk scale (a few hundred rows at most),
 so all storage is dense and all tolerance checks use the max-absolute-entry
 norm returned by :func:`max_abs`.
+
+Inversions refuse a condition estimate above ``DEFAULT_COND_LIMIT`` (1e12).
+Only :func:`solve` and :func:`inverse` take a limit (the ``A_ff`` check
+passes 1e10); the evaluation routes built on them take none.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import numpy as np
 from .characteristic import char_op, singular_at
 from .errors import BadParam, ShapeError, SingularMatrix
 from .model import SLHModel, k_operator
-from .operators import DEFAULT_COND_LIMIT, dagger, inverse, max_abs
+from .operators import dagger, inverse, max_abs
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class SchurFeshbachBlocks:
         )
 
 
-def block_inverse(a, b, c, d, cond_limit: float = DEFAULT_COND_LIMIT):
+def block_inverse(a, b, c, d):
     """Blocks of [[a, b], [c, d]]^-1 through the Schur complement of d, and d^-1.
 
     With x = (a - b d^-1 c)^-1 the inverse is
@@ -137,8 +137,8 @@ def block_inverse(a, b, c, d, cond_limit: float = DEFAULT_COND_LIMIT):
     Returns (BlockedOperator, d^-1); SingularMatrix when d or the complement
     fails the condition guard.
     """
-    dinv = inverse(d, cond_limit)
-    x = inverse(a - b @ dinv @ c, cond_limit)
+    dinv = inverse(d)
+    x = inverse(a - b @ dinv @ c)
     x_b_dinv = x @ b @ dinv
     dinv_c_x = dinv @ c @ x
     blocks = BlockedOperator(X_ss=x, X_sf=-x_b_dinv, X_fs=-dinv_c_x,
@@ -146,8 +146,7 @@ def block_inverse(a, b, c, d, cond_limit: float = DEFAULT_COND_LIMIT):
     return blocks, dinv
 
 
-def schur_feshbach(Kblocked: BlockedOperator, s,
-                   cond_limit: float = DEFAULT_COND_LIMIT) -> SchurFeshbachBlocks:
+def schur_feshbach(Kblocked: BlockedOperator, s) -> SchurFeshbachBlocks:
     """Resolvent blocks of (s - K)^-1 from the Schur-Feshbach identity.
 
     :func:`block_inverse` of (s - K) with Delta_22 = (s - K_22)^-1, whose
@@ -161,15 +160,13 @@ def schur_feshbach(Kblocked: BlockedOperator, s,
     Kb = Kblocked
     with singular_at(s, "(s - K_22) or (s - Khat_11(s)) not invertible"):
         D, Delta22 = block_inverse(s * np.eye(Kb.X_ss.shape[0]) - Kb.X_ss, -Kb.X_sf,
-                                   -Kb.X_fs, s * np.eye(Kb.X_ff.shape[0]) - Kb.X_ff,
-                                   cond_limit)
+                                   -Kb.X_fs, s * np.eye(Kb.X_ff.shape[0]) - Kb.X_ff)
     return SchurFeshbachBlocks(D11=D.X_ss, D12=D.X_sf, D21=D.X_fs, D22=D.X_ff,
                                Khat11=Kb.X_ss + Kb.X_sf @ Delta22 @ Kb.X_fs,
                                s=complex(s))
 
 
-def char_blocks(model: SLHModel, partition: BlockPartition, s,
-                cond_limit: float = DEFAULT_COND_LIMIT) -> BlockedOperator:
+def char_blocks(model: SLHModel, partition: BlockPartition, s) -> BlockedOperator:
     """Blocks T_ab(s) of the characteristic operator over the partition.
 
     Computed through the Schur-Feshbach resolvent blocks (not by slicing a
@@ -179,7 +176,7 @@ def char_blocks(model: SLHModel, partition: BlockPartition, s,
     if partition.dim != model.dim:
         raise ShapeError("partition dim must equal the plant dim")
     Kb = partition_operator(k_operator(model), partition)
-    Dhat = schur_feshbach(Kb, s, cond_limit).assemble(partition)
+    Dhat = schur_feshbach(Kb, s).assemble(partition)
     T = model.S - model.L @ Dhat @ (dagger(model.L) @ model.S)
     rows = [partition.stacked_rows(model.n_inputs, a) for a in ("slow", "fast")]
     return BlockedOperator(*(T[np.ix_(r, c)] for r in rows for c in rows))
@@ -198,7 +195,7 @@ def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
 
 
 def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
-                 tol: float = 1e-9, cond_limit: float = DEFAULT_COND_LIMIT):
+                 tol: float = 1e-9):
     """Certify T_21 = T_12 = 0 at the sampled points only.
 
     Returns (decoupled, max_off_block_residual, skipped) where ``skipped``
@@ -211,7 +208,7 @@ def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
     checked = 0
     for s in s_samples:
         try:
-            blocks = char_blocks(model, partition, s, cond_limit)
+            blocks = char_blocks(model, partition, s)
         except SingularMatrix as exc:
             skipped.append((complex(s), str(exc)))
             continue
@@ -223,7 +220,7 @@ def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
 
 def is_reduced_model(full: SLHModel, candidate: SLHModel,
                      partition: BlockPartition, s_samples,
-                     tol: float = 1e-9, cond_limit: float = DEFAULT_COND_LIMIT):
+                     tol: float = 1e-9):
     """Check T_full = diag(T_candidate, I) over the partition at the samples.
 
     The candidate must live on the slow subspace with the same input count.
@@ -240,8 +237,8 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
     I_f = np.eye(n_f)
     for s in s_samples:
         try:
-            blocks = char_blocks(full, partition, s, cond_limit)
-            Tc = char_op(candidate, s, cond_limit).data
+            blocks = char_blocks(full, partition, s)
+            Tc = char_op(candidate, s).data
         except SingularMatrix as exc:
             skipped.append((complex(s), str(exc)))
             continue

@@ -40,7 +40,6 @@ from .adiabatic import AFF_COND_LIMIT, scaled_resolvent_limit
 from .characteristic import singular_at
 from .model import SLHModel
 from .operators import (
-    DEFAULT_COND_LIMIT,
     as_matrix,
     cond_ok,
     condition_estimate,
@@ -100,11 +99,11 @@ def coefficients_from_parts(E00, El0, Ell) -> StratonovichCoefficients:
     return StratonovichCoefficients(E00=E00, E0l=dagger(El0), El0=El0, Ell=Ell)
 
 
-def cayley(E, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def cayley(E) -> np.ndarray:
     """Cayley transform (1 - (i/2) E)(1 + (i/2) E)^-1; unitary for Hermitian E."""
     E = np.asarray(E, dtype=complex)
     I = np.eye(E.shape[0], dtype=complex)
-    return (I - 0.5j * E) @ inverse(I + 0.5j * E, cond_limit)
+    return (I - 0.5j * E) @ inverse(I + 0.5j * E)
 
 
 def stratonovich_to_ito(coeffs: StratonovichCoefficients,
@@ -131,13 +130,12 @@ def k_from_stratonovich(coeffs: StratonovichCoefficients) -> np.ndarray:
     return -1j * coeffs.E00 - 0.5 * coeffs.E0l @ Winv @ coeffs.El0
 
 
-def ito_to_stratonovich(model: SLHModel,
-                        cond_limit: float = DEFAULT_COND_LIMIT) -> StratonovichCoefficients:
+def ito_to_stratonovich(model: SLHModel) -> StratonovichCoefficients:
     """Inverse map (S, L, H) -> E; fails when S has an eigenvalue at -1."""
     nm = model.n_inputs * model.dim
     I = np.eye(nm, dtype=complex)
     try:
-        P = inverse(model.S + I, cond_limit)
+        P = inverse(model.S + I)
     except SingularMatrix as exc:
         raise CayleySingular(
             f"S + 1 is not invertible (condition estimate "
@@ -190,20 +188,19 @@ class StratScaledFamily:
         )
 
 
-def strat_scaling_limit(family: StratScaledFamily,
-                        cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def strat_scaling_limit(family: StratScaledFamily) -> np.ndarray:
     """k -> infinity limit of T_k(s): the shifted scattering matrix.
 
     The limit is the Cayley transform of the Schur complement
     Ell_hat = Fll - Fl0 F00^-1 F0l; it is s-independent (a pure scattering
     model, the high-energy strong-damping regime).
     """
-    F00inv = inverse(family.F00, cond_limit)
+    F00inv = inverse(family.F00)
     Ehat = family.Fll - family.Fl0 @ F00inv @ dagger(family.Fl0)
-    return cayley(Ehat, cond_limit)
+    return cayley(Ehat)
 
 
-def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def strat_adiabatic_limit(family, s) -> np.ndarray:
     """Adiabatic limit of T_k(s) computed through the Stratonovich form.
 
     ``family`` is a slow/fast :class:`~slhkit.adiabatic.ScaledSLHFamily`.
@@ -221,7 +218,7 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
 
     I = np.eye(nm, dtype=complex)
     try:
-        P = inverse(S + I, cond_limit)
+        P = inverse(S + I)
     except SingularMatrix as exc:
         raise CayleySingular(
             "S + 1 not invertible; Stratonovich route unavailable"
@@ -253,11 +250,9 @@ def strat_adiabatic_limit(family, s, cond_limit: float = DEFAULT_COND_LIMIT) -> 
 
     with singular_at(s, "(s + i Ehat00_ss) not invertible"):
         D = scaled_resolvent_limit(
-            1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s,
-            cond_limit=cond_limit,
-        )
+            1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s)
     G = np.hstack([G0[:, sl], G1[:, fa]])  # columns ordered (slow, fast)
     X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
     with singular_at(s, "(I + X(s)) not invertible"):
-        T = (I - X) @ inverse(I + X, cond_limit)
+        T = (I - X) @ inverse(I + X)
     return p.unpermute_full(T)

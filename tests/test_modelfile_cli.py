@@ -212,6 +212,13 @@ def test_cli_check_pass_fail_and_io(runner, tmp_path):
     res = runner.invoke(main, ["check", str(tmp_path / "missing.json")])
     assert res.exit_code == 3
 
+    # a tolerance that is not finite and >= 0 is refused, not used
+    for tol in ("nan", "-1", "inf"):
+        res = runner.invoke(main, ["check", str(path), "--tol", tol])
+        assert res.exit_code == 1, tol
+        assert res.output.startswith("Error: --tol must be finite and >= 0"), tol
+        assert len(res.output.splitlines()) == 1, tol
+
 
 @pytest.mark.parametrize("command", ["check", "limit"])
 @pytest.mark.parametrize("defect", ["nan_entry", "duplicate_slow_indices",
@@ -327,6 +334,14 @@ def test_cli_eval_single_point_and_plot(runner, tmp_path):
         assert res.exit_code == 1, args
         assert "Traceback" not in res.output
         assert "cannot parse --s" in res.output
+    # so are sweep bounds that are not finite, or whose span overflows
+    out = tmp_path / "sweep.csv"
+    for spec in ("nan:nan:1", "inf:inf:1", "-inf:inf:3", "-1e308:1e308:3"):
+        res = runner.invoke(main, ["eval", str(path), "--sweep", spec,
+                                   "--out", str(out)])
+        assert res.exit_code == 1, spec
+        assert res.output.strip() == "Error: --sweep min, max and max - min must be finite"
+        assert not out.exists(), spec
 
     svg = tmp_path / "trace.svg"
     res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
@@ -335,6 +350,19 @@ def test_cli_eval_single_point_and_plot(runner, tmp_path):
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
     assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 2
+
+
+def test_cli_eval_bad_entry_refused_before_evaluation(runner, tmp_path):
+    path = _write_zoo(runner, tmp_path, "thermal_qubit")
+    out, svg = tmp_path / "sweep.csv", tmp_path / "trace.svg"
+    for entry, message in (("a", "--entry must be 'row,col'"),
+                           ("5,0", "--entry out of range for a 2x2 matrix")):
+        res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
+                                   "--out", str(out), "--plot", str(svg),
+                                   "--entry", entry])
+        assert res.exit_code == 1, entry
+        assert res.output.strip() == f"Error: {message}", entry
+        assert not out.exists() and not svg.exists(), entry
 
 
 def test_cli_eval_all_singular_exits_two(runner, tmp_path):
@@ -434,3 +462,9 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("SLHKIT_TOL", "1e-3")
     res = runner.invoke(main, ["check", str(path)])
     assert res.exit_code == 0
+    for tol in ("nan", "-1", "inf"):
+        monkeypatch.setenv("SLHKIT_TOL", tol)
+        res = runner.invoke(main, ["check", str(path)])
+        assert res.exit_code == 1, tol
+        assert res.output.startswith("Error: SLHKIT_TOL must be finite and >= 0"), tol
+        assert len(res.output.splitlines()) == 1, tol
