@@ -39,7 +39,7 @@ from .operators import (
     max_abs,
     solve,
 )
-from .reduction import BlockPartition, BlockedOperator, block_inverse
+from .reduction import BlockPartition, BlockedOperator, block_inverse, partition_operator
 
 STRUCT_TOL = 1e-9
 AFF_COND_LIMIT = 1e10
@@ -112,12 +112,14 @@ class _SlowFirst:
         perm_m = part.perm
         perm_nm = np.concatenate([i * self.m + perm_m for i in range(self.n)])
         self.inv_m, self.inv_nm = np.argsort(perm_m), np.argsort(perm_nm)
-        self.S = family.S[np.ix_(perm_nm, perm_nm)]
-        self.L0 = family.L0[np.ix_(perm_nm, perm_m)]
-        self.L1 = family.L1[np.ix_(perm_nm, perm_m)]
-        self.H0 = family.H0[np.ix_(perm_m, perm_m)]
-        self.H1 = family.H1[np.ix_(perm_m, perm_m)]
-        self.H2 = family.H2[np.ix_(perm_m, perm_m)]
+        # input-major, slow first within each input: not the stacked_rows order
+        rows_m, rows_nm = perm_m[:, None], perm_nm[:, None]
+        self.S = family.S[rows_nm, perm_nm]
+        self.L0 = family.L0[rows_nm, perm_m]
+        self.L1 = family.L1[rows_nm, perm_m]
+        self.H0 = family.H0[rows_m, perm_m]
+        self.H1 = family.H1[rows_m, perm_m]
+        self.H2 = family.H2[rows_m, perm_m]
         self.A = -0.5 * dagger(self.L1) @ self.L1 - 1j * self.H2
         self.Z = (-0.5 * (dagger(self.L1) @ self.L0 + dagger(self.L0) @ self.L1)
                   - 1j * self.H1)
@@ -147,13 +149,13 @@ class _SlowFirst:
         self.aff_condition = condition_estimate(A_ff)
 
     def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
-        return X[np.ix_(self.inv_m, self.inv_m)]
+        return X[self.inv_m[:, None], self.inv_m]
 
     def unpermute_stacked(self, X: np.ndarray) -> np.ndarray:
-        return X[np.ix_(self.inv_nm, self.inv_m)]
+        return X[self.inv_nm[:, None], self.inv_m]
 
     def unpermute_full(self, X: np.ndarray) -> np.ndarray:
-        return X[np.ix_(self.inv_nm, self.inv_nm)]
+        return X[self.inv_nm[:, None], self.inv_nm]
 
 
 def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
@@ -288,7 +290,7 @@ def limit_char_op(family: ScaledSLHFamily, s) -> BlockOperatorMatrix:
     """
     p = _require_assumptions(family)
     T = _pencil_char_op(p, s, 0.0)
-    return BlockOperatorMatrix(p.unpermute_full(T), family.dim, kind="char_op")
+    return BlockOperatorMatrix(p.unpermute_full(T), family.dim)
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     Shat = p.unpermute_full(Shat_perm)
     Lhat = p.unpermute_stacked(Lhat_perm)
     Hhat = p.unpermute_plant(Hhat_perm)
-    dec_residual = _decoupling_residual(Shat, Lhat, family.partition, p.n)
+    dec_residual = _decoupling_residual(Shat, Lhat, family.partition)
     decoupled = dec_residual <= tol
     return LimitModel(
         Shat=Shat,
@@ -369,32 +371,23 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
         hhat_alt_residual=alt_residual,
         decoupling_residual=dec_residual,
         decoupled=decoupled,
-        slow_model=(_slow_block(Shat, Lhat, Hhat, family.partition, p.n)
+        slow_model=(_slow_block(Shat, Lhat, Hhat, family.partition)
                     if decoupled else None),
     )
 
 
-def _decoupling_residual(Shat, Lhat, part: BlockPartition, n: int) -> float:
+def _decoupling_residual(Shat, Lhat, part: BlockPartition) -> float:
     """Max of |Lhat_f|, |Shat_sf|, |Shat_fs|: limit transitions into fast states."""
-    slow_rows = part.stacked_rows(n, "slow")
-    fast_rows = part.stacked_rows(n, "fast")
-    return max(
-        max_abs(Lhat[fast_rows, :]),
-        max_abs(Lhat[:, list(part.fast_indices)]),
-        max_abs(Shat[np.ix_(slow_rows, fast_rows)]),
-        max_abs(Shat[np.ix_(fast_rows, slow_rows)]),
-    )
+    Sb, Lb = partition_operator(Shat, part), partition_operator(Lhat, part)
+    return max(max_abs(Lb.X_fs), max_abs(Lb.X_ff), max_abs(Lb.X_sf),
+               max_abs(Sb.X_sf), max_abs(Sb.X_fs))
 
 
-def _slow_block(Shat, Lhat, Hhat, part: BlockPartition, n: int) -> SLHModel:
+def _slow_block(Shat, Lhat, Hhat, part: BlockPartition) -> SLHModel:
     """The reduced slow model (Shat_ss, Lhat_s, Hhat_ss)."""
-    slow_rows = part.stacked_rows(n, "slow")
-    slow_cols = list(part.slow_indices)
-    return SLHModel(
-        S=Shat[np.ix_(slow_rows, slow_rows)],
-        L=Lhat[np.ix_(slow_rows, slow_cols)],
-        H=Hhat[np.ix_(slow_cols, slow_cols)],
-    )
+    return SLHModel(S=partition_operator(Shat, part).X_ss,
+                    L=partition_operator(Lhat, part).X_ss,
+                    H=partition_operator(Hhat, part).X_ss)
 
 
 def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
@@ -404,23 +397,19 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
     operator must also be block diagonal, equal to diag(T_slow(s), Shat_ff)
     at s = 1; :class:`AssumptionViolated` is raised when it is not.
     """
-    part, n = limit.partition, limit.n_inputs
-    residual = _decoupling_residual(limit.Shat, limit.Lhat, part, n)
+    part = limit.partition
+    residual = _decoupling_residual(limit.Shat, limit.Lhat, part)
     ok = residual <= tol
     if ok:
         slow_model = limit.slow_model
         if slow_model is None:  # possible when re-checking with a looser tol
-            slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part, n)
-        slow_rows = part.stacked_rows(n, "slow")
-        fast_rows = part.stacked_rows(n, "fast")
-        T = char_op(limit.as_model(), 1.0).data
-        T_slow = char_op(slow_model, 1.0).data
+            slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part)
+        Tb = partition_operator(char_op(limit.as_model(), 1.0).data, part)
         block_res = max(
-            max_abs(T[np.ix_(slow_rows, fast_rows)]),
-            max_abs(T[np.ix_(fast_rows, slow_rows)]),
-            max_abs(T[np.ix_(slow_rows, slow_rows)] - T_slow),
-            max_abs(T[np.ix_(fast_rows, fast_rows)]
-                    - limit.Shat[np.ix_(fast_rows, fast_rows)]),
+            max_abs(Tb.X_sf),
+            max_abs(Tb.X_fs),
+            max_abs(Tb.X_ss - char_op(slow_model, 1.0).data),
+            max_abs(Tb.X_ff - partition_operator(limit.Shat, part).X_ff),
         )
         if block_res > max(tol, 1e-9):
             raise AssumptionViolated(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -66,13 +67,13 @@ def resolvent_solve(M, s, B=None) -> np.ndarray:
 def char_op(model: SLHModel, s) -> BlockOperatorMatrix:
     """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
     X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S)
-    return BlockOperatorMatrix(model.S - model.L @ X, model.dim, kind="char_op")
+    return BlockOperatorMatrix(model.S - model.L @ X, model.dim)
 
 
 def sigma_kernel(model: SLHModel, s) -> BlockOperatorMatrix:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
     R = resolvent_solve(-1j * model.H, s)
-    return BlockOperatorMatrix(model.L @ R @ dagger(model.L), model.dim, kind="sigma")
+    return BlockOperatorMatrix(model.L @ R @ dagger(model.L), model.dim)
 
 
 def char_op_allpass(model: SLHModel, s) -> BlockOperatorMatrix:
@@ -81,7 +82,7 @@ def char_op_allpass(model: SLHModel, s) -> BlockOperatorMatrix:
     I = np.eye(Sig.shape[0], dtype=complex)
     with singular_at(s, "(1 + Sigma/2) not invertible"):
         denom = inverse(I + 0.5 * Sig)
-    return BlockOperatorMatrix((I - 0.5 * Sig) @ denom @ model.S, model.dim, kind="char_op")
+    return BlockOperatorMatrix((I - 0.5 * Sig) @ denom @ model.S, model.dim)
 
 
 def char_op_stratonovich(coeffs, s) -> BlockOperatorMatrix:
@@ -97,7 +98,7 @@ def char_op_stratonovich(coeffs, s) -> BlockOperatorMatrix:
     I = np.eye(X.shape[0], dtype=complex)
     with singular_at(s, "(I + X(s)) not invertible"):
         denom = inverse(I + X)
-    return BlockOperatorMatrix((I - X) @ denom, E00.shape[0], kind="char_op")
+    return BlockOperatorMatrix((I - X) @ denom, E00.shape[0])
 
 
 def transfer_function(abcd_matrices, s) -> np.ndarray:
@@ -166,7 +167,7 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> Block
     for q in range(1, order + 1):
         W = W @ V @ R0
         T = T - (-1j * lam) ** q * (model0.L @ W @ LS)
-    return BlockOperatorMatrix(T, model0.dim, kind="char_op")
+    return BlockOperatorMatrix(T, model0.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +207,18 @@ class SweepResult:
 
     grid: FrequencyGrid
     values: tuple
-    unitarity_residuals: tuple
     failures: tuple
 
     @property
     def n_failed(self) -> int:
         return len(self.failures)
+
+    @cached_property
+    def unitarity_residuals(self) -> tuple:
+        """max |T*T - I| per point, nan where the point failed; formed on first read."""
+        return tuple(float("nan") if T is None
+                     else max_abs(dagger(T.data) @ T.data - np.eye(T.data.shape[0]))
+                     for T in self.values)
 
 
 _SWEEP_METHODS = ("direct", "allpass", "stratonovich")
@@ -264,7 +271,7 @@ def _schur_char_op(model: SLHModel):
         with singular_at(s):
             guard_cond(1.0 / rcond if rcond > 0 else np.inf, DEFAULT_COND_LIMIT)
         X = scipy.linalg.solve_triangular(A, W, check_finite=False)
-        return BlockOperatorMatrix(model.S - LZ @ X, model.dim, kind="char_op")
+        return BlockOperatorMatrix(model.S - LZ @ X, model.dim)
 
     return evaluate
 
@@ -287,20 +294,11 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct") -> Sweep
         evaluate = _schur_char_op(model)
 
     values = []
-    residuals = []
     failures = []
-    I = np.eye(model.n_inputs * model.dim)
     for point, s in zip(grid.points, grid.s_values()):
         try:
-            T = evaluate(s)
+            values.append(evaluate(s))
         except SingularMatrix as exc:
             values.append(None)
-            residuals.append(float("nan"))
             failures.append((float(point), str(exc)))
-            continue
-        values.append(T)
-        residuals.append(max_abs(dagger(T.data) @ T.data - I))
-    return SweepResult(
-        grid=grid, values=tuple(values),
-        unitarity_residuals=tuple(residuals), failures=tuple(failures),
-    )
+    return SweepResult(grid=grid, values=tuple(values), failures=tuple(failures))

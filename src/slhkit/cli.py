@@ -152,7 +152,11 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
     """Evaluate the characteristic operator over a point or a grid."""
     obj = _read(path)
     if isinstance(obj, StratonovichCoefficients):
-        model = stratonovich_to_ito(obj)
+        try:
+            model = stratonovich_to_ito(obj)
+        except SlhkitError as exc:  # e.g. E00 not Hermitian
+            click.echo(f"error: {path}: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
     elif isinstance(obj, SLHModel):
         model = obj
     else:
@@ -259,6 +263,11 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
     if not isinstance(obj, ScaledSLHFamily):
         click.echo("error: limit needs a family file", err=True)
         sys.exit(EXIT_VALIDATION)
+    s = _parse_complex(s_point, "--s")
+    try:
+        ks = [float(v) for v in study_spec.split(",") if v] if study_spec else []
+    except ValueError:
+        raise click.ClickException("--study must be comma-separated numbers")
     report = adiabatic.check_assumptions(obj, tol)
     click.echo(f"assumptions: {'PASS' if report.passed(tol) else 'FAIL'}")
     for name, val in report.structural.items():
@@ -279,11 +288,6 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
         click.echo("not decoupled; no slow model written")
 
     if study_spec:
-        try:
-            ks = [float(v) for v in study_spec.split(",") if v]
-        except ValueError:
-            raise click.ClickException("--study must be comma-separated numbers")
-        s = _parse_complex(s_point, "--s")
         try:
             study = adiabatic.convergence_study(obj, s, ks)
         except SlhkitError as exc:  # the study re-checks the family at 1e-9

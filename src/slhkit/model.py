@@ -35,14 +35,12 @@ DEFAULT_TOL = 1e-9
 class BlockOperatorMatrix:
     """A grid of equally sized operator blocks stored as one dense matrix.
 
-    Carries the characteristic operator T(s) (kind ``char_op``), the all-pass
-    kernel Sigma(s) (kind ``sigma``), and the model matrix (kind
-    ``model_matrix``).
+    Carries the characteristic operator T(s), the all-pass kernel Sigma(s)
+    and the model matrix.
     """
 
     data: np.ndarray
     block_dim: int
-    kind: str = "generic"
 
     def __post_init__(self):
         data = as_matrix(self.data, "block matrix data")
@@ -74,11 +72,10 @@ class ValidationReport:
 
     s_unitarity: float
     h_hermiticity: float
-    dims_ok: bool
     messages: tuple = ()
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.dims_ok and self.s_unitarity <= tol and self.h_hermiticity <= tol
+        return self.s_unitarity <= tol and self.h_hermiticity <= tol
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ class SLHModel:
 
 
 def validate(model: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Residual report: S unitarity, H Hermiticity, dimension consistency."""
+    """Residual report: S unitarity and H Hermiticity (shapes are checked on construction)."""
     _, s_res = is_unitary(model.S, tol)
     _, h_res = is_hermitian(model.H, tol)
     msgs = []
@@ -154,7 +151,7 @@ def validate(model: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     if h_res > tol:
         msgs.append(f"H fails Hermiticity: residual {h_res:.3e} > tol {tol:.1e}")
     return ValidationReport(
-        s_unitarity=s_res, h_hermiticity=h_res, dims_ok=True, messages=tuple(msgs)
+        s_unitarity=s_res, h_hermiticity=h_res, messages=tuple(msgs)
     )
 
 
@@ -171,7 +168,7 @@ def model_matrix(model: SLHModel) -> BlockOperatorMatrix:
     V[:m, m:] = -dagger(model.L) @ model.S
     V[m:, :m] = model.L
     V[m:, m:] = model.S
-    return BlockOperatorMatrix(V, m, kind="model_matrix")
+    return BlockOperatorMatrix(V, m)
 
 
 def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:

@@ -2,7 +2,11 @@
 
 A partition splits the plant space into two orthogonal index sets (called
 slow and fast throughout, matching the adiabatic use).  Partitioning is
-permutation based, so extraction and reassembly are bit exact.
+permutation based, so extraction and reassembly are bit exact.  One rule cuts
+every slow/fast block of any stacked axis: k * dim entries split in the order
+of :meth:`BlockPartition.stacked_rows`, so plant operators (k = 1), stacked
+couplings (nm x m) and n x n grids of plant blocks (nm x nm) share
+:func:`partition_operator` and :func:`reassemble_operator`.
 
 Every 2 x 2 block inverse in the package goes through one Schur-complement
 step, :func:`block_inverse`: the blocks of [[a, b], [c, d]]^-1 from d^-1 and
@@ -84,28 +88,37 @@ class BlockedOperator:
         return getattr(self, f"X_{a}{b}")
 
 
+def _split_axis(length: int, partition: BlockPartition):
+    """Slow and fast indices of an axis of k * dim entries, k plant blocks stacked."""
+    k, rest = divmod(length, partition.dim)
+    if rest or not k:
+        raise ShapeError(f"axis of length {length} is not a stack of "
+                         f"dim-{partition.dim} plant blocks")
+    return partition.stacked_rows(k, "slow"), partition.stacked_rows(k, "fast")
+
+
 def partition_operator(X, partition: BlockPartition) -> BlockedOperator:
-    """Exact permutation-based extraction of the four blocks of X."""
+    """Exact permutation-based extraction of the four blocks of X.
+
+    Each axis of k * dim entries is cut in :meth:`BlockPartition.stacked_rows` order.
+    """
     X = np.asarray(X, dtype=complex)
-    if X.shape != (partition.dim, partition.dim):
-        raise ShapeError(f"operator shape {X.shape} does not match partition dim {partition.dim}")
-    s = np.array(partition.slow_indices, dtype=int)
-    f = np.array(partition.fast_indices, dtype=int)
-    return BlockedOperator(
-        X_ss=X[np.ix_(s, s)], X_sf=X[np.ix_(s, f)],
-        X_fs=X[np.ix_(f, s)], X_ff=X[np.ix_(f, f)],
-    )
+    if X.ndim != 2:
+        raise ShapeError(f"operator must be a matrix, got shape {X.shape}")
+    rows = _split_axis(X.shape[0], partition)
+    cols = _split_axis(X.shape[1], partition)
+    return BlockedOperator(*(X[np.ix_(r, c)] for r in rows for c in cols))
 
 
 def reassemble_operator(blocked: BlockedOperator, partition: BlockPartition) -> np.ndarray:
     """Inverse of :func:`partition_operator` (bit exact)."""
-    X = np.zeros((partition.dim, partition.dim), dtype=complex)
-    s = np.array(partition.slow_indices, dtype=int)
-    f = np.array(partition.fast_indices, dtype=int)
-    X[np.ix_(s, s)] = blocked.X_ss
-    X[np.ix_(s, f)] = blocked.X_sf
-    X[np.ix_(f, s)] = blocked.X_fs
-    X[np.ix_(f, f)] = blocked.X_ff
+    n_rows = blocked.X_ss.shape[0] + blocked.X_fs.shape[0]
+    n_cols = blocked.X_ss.shape[1] + blocked.X_sf.shape[1]
+    rows, cols = _split_axis(n_rows, partition), _split_axis(n_cols, partition)
+    X = np.zeros((n_rows, n_cols), dtype=complex)
+    for r, a in zip(rows, "sf"):
+        for c, b in zip(cols, "sf"):
+            X[np.ix_(r, c)] = blocked.block(a, b)
     return X
 
 
@@ -177,21 +190,16 @@ def char_blocks(model: SLHModel, partition: BlockPartition, s) -> BlockedOperato
         raise ShapeError("partition dim must equal the plant dim")
     Kb = partition_operator(k_operator(model), partition)
     Dhat = schur_feshbach(Kb, s).assemble(partition)
-    T = model.S - model.L @ Dhat @ (dagger(model.L) @ model.S)
-    rows = [partition.stacked_rows(model.n_inputs, a) for a in ("slow", "fast")]
-    return BlockedOperator(*(T[np.ix_(r, c)] for r in rows for c in rows))
+    return partition_operator(model.S - model.L @ Dhat @ (dagger(model.L) @ model.S),
+                              partition)
 
 
 def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
                            partition: BlockPartition) -> np.ndarray:
     """Scatter T_ab blocks back into the full nm x nm matrix."""
-    n, m = model.n_inputs, model.dim
-    T = np.zeros((n * m, n * m), dtype=complex)
-    rows = {a: partition.stacked_rows(n, a) for a in ("slow", "fast")}
-    for a in ("slow", "fast"):
-        for b in ("slow", "fast"):
-            T[np.ix_(rows[a], rows[b])] = blocks.block(a[0], b[0])
-    return T
+    if partition.dim != model.dim:
+        raise ShapeError("partition dim must equal the plant dim")
+    return reassemble_operator(blocks, partition)
 
 
 def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,

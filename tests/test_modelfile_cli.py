@@ -365,6 +365,21 @@ def test_cli_eval_bad_entry_refused_before_evaluation(runner, tmp_path):
         assert not out.exists() and not svg.exists(), entry
 
 
+def test_cli_eval_non_hermitian_stratonovich_file_exits_one(runner, tmp_path):
+    path = tmp_path / "coeffs.json"
+    modelfile.write_model(path, ito_to_stratonovich(
+        zoo.build("thermal_qubit", n=0.3, omega=0.9)))
+    doc = json.loads(path.read_text())
+    doc["E00"][0][1] = [5, 0]
+    path.write_text(json.dumps(doc))
+    for args in (["--s", "1,0"], ["--sweep", "0:1:3"]):
+        res = runner.invoke(main, ["eval", str(path), *args])
+        assert res.exit_code == 1, args
+        assert isinstance(res.exception, SystemExit), args
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), args
+
+
 def test_cli_eval_all_singular_exits_two(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "lossless", "dim=2", "n_inputs=1",
                       "h_scale=1.0")
@@ -407,6 +422,17 @@ def test_cli_limit_study_and_assumption_failure(runner, tmp_path):
     modelfile.write_model(bad, fam)
     res = runner.invoke(main, ["limit", str(bad)])
     assert res.exit_code == 1
+
+
+def test_cli_limit_refuses_bad_study_or_point_before_any_output(runner, tmp_path):
+    path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=4")
+    slow = tmp_path / "slow.json"
+    for args, message in ((["--study", "abc"], "--study must be comma-separated numbers"),
+                          (["--s", "zz"], "cannot parse --s 'zz'; use 're' or 're,im'")):
+        res = runner.invoke(main, ["limit", str(path), "--emit", str(slow), *args])
+        assert res.exit_code == 1, args
+        assert res.output.strip() == f"Error: {message}", args
+        assert not slow.exists(), args
 
 
 def test_cli_compose_lift_and_mismatch(runner, tmp_path):

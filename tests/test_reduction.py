@@ -8,6 +8,7 @@ from slhkit import (
     BadParam,
     BlockPartition,
     SLHModel,
+    ShapeError,
     char_blocks,
     char_op,
     identity,
@@ -43,6 +44,29 @@ def test_partition_reassembly_bit_exact(rng):
     X = random_complex(rng, 5, 5)
     part = BlockPartition(dim=5, slow_indices=(1, 3, 4))
     assert np.array_equal(reassemble_operator(partition_operator(X, part), part), X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partition_operator_cuts_stacked_axes(rng, n):
+    # nm x m (a stacked coupling) and nm x nm (an n x n grid of plant blocks)
+    part = BlockPartition(dim=5, slow_indices=(3, 0))
+    for n_cols in (1, n):
+        X = random_complex(rng, n * 5, n_cols * 5)
+        rows = {a: part.stacked_rows(n, a) for a in ("slow", "fast")}
+        cols = {b: part.stacked_rows(n_cols, b) for b in ("slow", "fast")}
+        blocks = partition_operator(X, part)
+        for a in ("slow", "fast"):
+            for b in ("slow", "fast"):
+                assert np.array_equal(blocks.block(a[0], b[0]),
+                                      X[np.ix_(rows[a], cols[b])])
+        back = reassemble_operator(blocks, part)
+        assert back.shape == X.shape and np.array_equal(back, X)
+    with pytest.raises(ShapeError):
+        partition_operator(np.zeros((6, 5)), part)
+    with pytest.raises(ShapeError):
+        reassemble_operator(partition_operator(np.zeros((6, 6)),
+                                               BlockPartition(dim=6, slow_indices=(0,))),
+                            part)
 
 
 def test_partition_validation():
