@@ -33,7 +33,6 @@ from .operators import (
     number,
     pauli,
     projector,
-    real_part,
 )
 from .model import (
     BlockOperatorMatrix,

@@ -342,9 +342,6 @@ _PARAM_ALIASES = {
     "φ+": "phi_plus", "φ-": "phi_minus",
 }
 
-_INT_PARAMS = {"n_max", "n_max_cavity", "n_max_mirror", "dim", "n_inputs"}
-_COMPLEX_PARAMS = {"alpha", "beta"}
-
 
 @main.command("zoo")
 @click.argument("name")
@@ -357,6 +354,11 @@ def cmd_zoo(name, params, out_path):
             e = zoo.entry(entry_name)
             click.echo(f"{entry_name:20s} [{e.kind:6s}] {e.summary}")
         sys.exit(EXIT_OK)
+    try:
+        defaults = zoo.entry(name).defaults
+    except BadParam as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
     kwargs = {}
     for raw in params:
         if "=" not in raw:
@@ -364,13 +366,15 @@ def cmd_zoo(name, params, out_path):
             sys.exit(EXIT_VALIDATION)
         key, value = raw.split("=", 1)
         key = _PARAM_ALIASES.get(key, key)
+        # a value takes the type of its default; zoo.build refuses unknown names
+        typ = type(defaults.get(key, 0.0))
         try:
-            if key in _INT_PARAMS:
-                kwargs[key] = int(value)
-            elif key in _COMPLEX_PARAMS:
+            if typ is complex:
                 kwargs[key] = _parse_complex(value, key)
-            else:
-                kwargs[key] = float(value)
+            elif typ in (int, float):
+                kwargs[key] = typ(value)
+            else:  # e.g. slow_indices, which only Python callers set
+                raise ValueError(key)
         except (ValueError, click.ClickException):
             click.echo(f"error: cannot parse value for {key}: {value!r}", err=True)
             sys.exit(EXIT_VALIDATION)

@@ -2,6 +2,9 @@
 
 Models, scaled families and Stratonovich coefficients share one JSON
 container with complex entries stored as two-element arrays [re, im].  The
+table ``_KINDS`` names, for each ``kind`` string, the class and its matrix
+fields in file order; ``_shape`` gives each field's declared shape from
+``n_inputs`` and ``dim``, and both ``dumps`` and ``loads`` run off them.  The
 writer renders every float with 17 significant digits, which round-trips
 binary64 exactly, and emits keys in a fixed order so that write -> read ->
 write is byte stable.
@@ -29,11 +32,19 @@ from .stratonovich import StratonovichCoefficients
 
 SWEEP_HEADER = "s_re,s_im,block_row,block_col,entry_row,entry_col,re,im,status"
 
-_MATRIX_KEYS = {
-    "slh": ("S", "L", "H"),
-    "family": ("S", "L0", "L1", "H0", "H1", "H2"),
-    "stratonovich": ("E00", "E0l", "El0", "Ell"),
+# kind -> (class, matrix fields in file order); every class has n_inputs and dim
+_KINDS = {
+    "slh": (SLHModel, ("S", "L", "H")),
+    "family": (ScaledSLHFamily, ("S", "L0", "L1", "H0", "H1", "H2")),
+    "stratonovich": (StratonovichCoefficients, ("E00", "E0l", "El0", "Ell")),
 }
+_NM_ROWS = {"S", "Ell", "L", "L0", "L1", "El0"}
+_NM_COLS = {"S", "Ell", "E0l"}
+
+
+def _shape(field: str, n: int, m: int) -> tuple:
+    """Declared shape of a matrix field for n inputs and m plant states."""
+    return (n * m if field in _NM_ROWS else m, n * m if field in _NM_COLS else m)
 
 
 class ModelFileError(SlhkitError, ValueError):
@@ -87,35 +98,19 @@ def _matrix_from_json(obj, field: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-def _object_payload(obj):
-    """(kind, n_inputs, dim, matrices dict, extras dict) for a supported object."""
-    if isinstance(obj, SLHModel):
-        extras = {}
-        if obj.basis_labels is not None:
-            extras["basis_labels"] = list(obj.basis_labels)
-        return ("slh", obj.n_inputs, obj.dim,
-                {"S": obj.S, "L": obj.L, "H": obj.H}, extras)
-    if isinstance(obj, ScaledSLHFamily):
-        mats = {"S": obj.S, "L0": obj.L0, "L1": obj.L1,
-                "H0": obj.H0, "H1": obj.H1, "H2": obj.H2}
-        return ("family", obj.n_inputs, obj.dim, mats,
-                {"slow_indices": list(obj.partition.slow_indices)})
-    if isinstance(obj, StratonovichCoefficients):
-        mats = {"E00": obj.E00, "E0l": obj.E0l, "El0": obj.El0, "Ell": obj.Ell}
-        return ("stratonovich", obj.n_inputs, obj.dim, mats, {})
-    raise ModelFileError("kind", f"unsupported object type {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
     """Canonical text form of a model, family, or coefficient set."""
-    kind, n, m, mats, extras = _object_payload(obj)
-    parts = [f'"kind":"{kind}"', f'"n_inputs":{n}', f'"dim":{m}']
-    for key in _MATRIX_KEYS[kind]:
-        parts.append(f'"{key}":{_matrix_to_json(mats[key])}')
-    if "slow_indices" in extras:
-        parts.append('"slow_indices":[' + ",".join(str(int(i)) for i in extras["slow_indices"]) + "]")
-    if "basis_labels" in extras:
-        parts.append('"basis_labels":' + json.dumps(extras["basis_labels"]))
+    for kind, (cls, fields) in _KINDS.items():
+        if isinstance(obj, cls):
+            break
+    else:
+        raise ModelFileError("kind", f"unsupported object type {type(obj).__name__}")
+    parts = [f'"kind":"{kind}"', f'"n_inputs":{obj.n_inputs}', f'"dim":{obj.dim}']
+    parts += [f'"{key}":{_matrix_to_json(getattr(obj, key))}' for key in fields]
+    if kind == "family":
+        parts.append('"slow_indices":[' + ",".join(str(int(i)) for i in obj.partition.slow_indices) + "]")
+    if kind == "slh" and obj.basis_labels is not None:
+        parts.append('"basis_labels":' + json.dumps(list(obj.basis_labels)))
     return "{" + ",".join(parts) + "}\n"
 
 
@@ -133,53 +128,34 @@ def loads(text: str):
     if not isinstance(doc, dict):
         raise ModelFileError("document", "top level must be an object")
     kind = doc.get("kind")
-    if kind not in _MATRIX_KEYS:
-        raise ModelFileError("kind", f"must be one of {sorted(_MATRIX_KEYS)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ModelFileError("kind", f"must be one of {sorted(_KINDS)}, got {kind!r}")
     for field in ("n_inputs", "dim"):
         if type(doc.get(field)) is not int or doc[field] < 1:
             raise ModelFileError(field, "must be a positive integer")
+    n, m = doc["n_inputs"], doc["dim"]
+    cls, fields = _KINDS[kind]
     mats = {}
-    for key in _MATRIX_KEYS[kind]:
+    for key in fields:
         if key not in doc:
             raise ModelFileError(key, "matrix is missing")
         mats[key] = _matrix_from_json(doc[key], key)
-    n, m = doc["n_inputs"], doc["dim"]
-
-    def expect(key, shape):
+        shape = _shape(key, n, m)
         if mats[key].shape != shape:
             raise ModelFileError(key, f"expected shape {shape}, got {mats[key].shape}")
-
     if kind == "slh":
-        expect("S", (n * m, n * m))
-        expect("L", (n * m, m))
-        expect("H", (m, m))
         labels = doc.get("basis_labels")
         if labels is not None and (not isinstance(labels, list) or len(labels) != m):
             raise ModelFileError("basis_labels", f"must list {m} labels")
-        return SLHModel(S=mats["S"], L=mats["L"], H=mats["H"],
-                        basis_labels=tuple(labels) if labels else None)
+        return cls(**mats, basis_labels=tuple(labels) if labels else None)
     if kind == "family":
-        expect("S", (n * m, n * m))
-        for key in ("L0", "L1"):
-            expect(key, (n * m, m))
-        for key in ("H0", "H1", "H2"):
-            expect(key, (m, m))
         slow = doc.get("slow_indices")
         if (not isinstance(slow, list) or not slow
                 or not all(type(i) is int and 0 <= i < m for i in slow)):
             raise ModelFileError("slow_indices",
                                  f"must be a nonempty list of integers in [0, {m})")
-        return ScaledSLHFamily(
-            S=mats["S"], L0=mats["L0"], L1=mats["L1"],
-            H0=mats["H0"], H1=mats["H1"], H2=mats["H2"],
-            partition=BlockPartition(dim=m, slow_indices=tuple(slow)),
-        )
-    expect("E00", (m, m))
-    expect("Ell", (n * m, n * m))
-    expect("El0", (n * m, m))
-    expect("E0l", (m, n * m))
-    return StratonovichCoefficients(E00=mats["E00"], E0l=mats["E0l"],
-                                    El0=mats["El0"], Ell=mats["Ell"])
+        return cls(**mats, partition=BlockPartition(dim=m, slow_indices=tuple(slow)))
+    return cls(**mats)
 
 
 def read_model(path):
@@ -194,15 +170,10 @@ def read_model(path):
 
 def from_sweep_result(sweep_result):
     """(s_values, matrices, statuses) columns from a SweepResult."""
-    failed = {}
-    for point, msg in sweep_result.failures:
-        failed[float(point)] = msg.replace(",", ";").replace("\n", " ")
+    messages = (msg for _, msg in sweep_result.failures)  # grid order
     s_values = list(sweep_result.grid.s_values())
     matrices = [v.data if v is not None else None for v in sweep_result.values]
-    statuses = [
-        "ok" if v is not None else failed.get(float(point), "singular")
-        for point, v in zip(sweep_result.grid.points, sweep_result.values)
-    ]
+    statuses = ["ok" if v is not None else next(messages) for v in sweep_result.values]
     return s_values, matrices, statuses
 
 

@@ -55,12 +55,6 @@ def imag_part(X) -> np.ndarray:
     return (X - dagger(X)) / 2j
 
 
-def real_part(X) -> np.ndarray:
-    """Operator real part Re{X} = (X + X*)/2."""
-    X = np.asarray(X, dtype=complex)
-    return (X + dagger(X)) / 2
-
-
 def _lu_with_cond(A: np.ndarray):
     """LU factor with partial pivoting plus a cheap condition estimate.
 

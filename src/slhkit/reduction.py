@@ -118,7 +118,10 @@ def reassemble_operator(blocked: BlockedOperator, partition: BlockPartition) -> 
     X = np.zeros((n_rows, n_cols), dtype=complex)
     for r, a in zip(rows, "sf"):
         for c, b in zip(cols, "sf"):
-            X[np.ix_(r, c)] = blocked.block(a, b)
+            block = np.asarray(blocked.block(a, b))
+            if block.shape != (len(r), len(c)):
+                raise ShapeError(f"X_{a}{b} must be {len(r)} x {len(c)}, got {block.shape}")
+            X[np.ix_(r, c)] = block
     return X
 
 

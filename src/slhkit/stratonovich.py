@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     SingularMatrix,
 )
-from .adiabatic import AFF_COND_LIMIT, scaled_resolvent_limit
+from .adiabatic import AFF_COND_LIMIT, _require_structure, scaled_resolvent_limit
 from .characteristic import singular_at
 from .model import SLHModel
 from .operators import (
@@ -203,7 +203,8 @@ def strat_scaling_limit(family: StratScaledFamily) -> np.ndarray:
 def strat_adiabatic_limit(family, s) -> np.ndarray:
     """Adiabatic limit of T_k(s) computed through the Stratonovich form.
 
-    ``family`` is a slow/fast :class:`~slhkit.adiabatic.ScaledSLHFamily`.
+    ``family`` is a slow/fast :class:`~slhkit.adiabatic.ScaledSLHFamily`
+    whose block structure holds (InvalidFamily otherwise).
     Requires Ell (computed from S) to be block diagonal with respect to the
     partition and the k^2 drift block E00_ff to be invertible.  The result
     equals the limit of the direct route (limit_slh / limit_char_op) and is
@@ -211,7 +212,7 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
     poles of (s + i Ehat00_ss)^-1 that cancel in (I - X)(I + X)^-1, where
     the limit is finite; limit_char_op evaluates there.
     """
-    p = family._slow_first
+    p = _require_structure(family)
     S, L0, L1, H0, H1, H2 = p.S, p.L0, p.L1, p.H0, p.H1, p.H2
     m, n, sl, fa = p.m, p.n, p.sl, p.fa
     nm = n * m

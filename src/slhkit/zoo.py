@@ -11,6 +11,7 @@ finite-strength convergence, respectively.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,13 @@ class ZooEntry:
     kind: str                 # "slh" or "family"
     build: callable
     closed_form: callable | None
-    defaults: dict
     summary: str
+
+    @property
+    def defaults(self) -> dict:
+        """Parameter defaults, read from the signature of ``build``."""
+        return {name: p.default
+                for name, p in inspect.signature(self.build).parameters.items()}
 
 
 def _positive(value, name):
@@ -171,7 +177,7 @@ def closed_optomech(params, s):
 # ---------------------------------------------------------------------------
 
 
-def build_detuned_two_level(gamma=1.0, kappa=0.5, delta=2.0, beta=1.0, omega0=1.0):
+def build_detuned_two_level(gamma=1.0, kappa=0.5, delta=2.0, beta=1.0 + 0j, omega0=1.0):
     gamma = _positive(gamma, "gamma")
     kappa = _positive(kappa, "kappa")
     if float(delta) <= 0:
@@ -212,7 +218,7 @@ def _qubit_sigma():
     return s_
 
 
-def build_three_input_qubit(kappa1=1.0, kappa2=0.7, kappa3=0.4, delta=0.3, alpha=0.5):
+def build_three_input_qubit(kappa1=1.0, kappa2=0.7, kappa3=0.4, delta=0.3, alpha=0.5 + 0j):
     kappas = [_positive(k, f"kappa{i + 1}") for i, k in enumerate((kappa1, kappa2, kappa3))]
     alpha = complex(alpha)
     sig = _qubit_sigma()
@@ -256,7 +262,7 @@ def closed_three_input_qubit(params, s):
 # ---------------------------------------------------------------------------
 
 
-def build_kerr_qubit(kappa1=1.0, kappa2=0.7, delta=0.3, alpha=0.5, chi0=1.0, n_max=8):
+def build_kerr_qubit(kappa1=1.0, kappa2=0.7, delta=0.3, alpha=0.5 + 0j, chi0=1.0, n_max=8):
     """Two-input Kerr cavity at the t = 0 snapshot of its rotating frame.
 
     The drive's rotating phase is frozen at t = 0; the phase cancels in
@@ -303,7 +309,7 @@ def kerr_bright_mode_rational(params, s):
 # ---------------------------------------------------------------------------
 
 
-def build_lambda_system(gamma=1.0, alpha=0.5, g=1.0, n_max=8, slow_indices=None):
+def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=None):
     """Levels ordered (g1, g2, e); plant space is level (x) cavity mode.
 
     The slow subspace defaults to the kernel of the fast generator, which is
@@ -366,54 +372,41 @@ ENTRIES = {
     "lossless": ZooEntry(
         name="lossless", kind="slh", build=build_lossless,
         closed_form=closed_lossless,
-        defaults={"dim": 2, "n_inputs": 1, "phase": 0.0, "h_scale": 1.0},
         summary="no coupling; T(s) = S for every s",
     ),
     "linear_passive": ZooEntry(
         name="linear_passive", kind="slh", build=build_linear_passive,
         closed_form=closed_linear_passive,
-        defaults={"gamma": 1.0, "delta": 0.0, "n_max": 8},
         summary="single passive cavity mode on a truncated Fock space",
     ),
     "thermal_qubit": ZooEntry(
         name="thermal_qubit", kind="slh", build=build_thermal_qubit,
         closed_form=closed_thermal_qubit,
-        defaults={"gamma": 1.0, "n": 0.0, "omega": 0.0,
-                  "phi_plus": 0.0, "phi_minus": 0.0},
         summary="qubit in a thermal bath with polarization phases",
     ),
     "optomech": ZooEntry(
         name="optomech", kind="slh", build=build_optomech,
         closed_form=closed_optomech,
-        defaults={"gamma": 1.0, "delta": 0.0, "omega0": 0.0, "g": 0.2,
-                  "n_max_cavity": 4, "n_max_mirror": 6},
         summary="leaky cavity with mirror-position-dependent detuning",
     ),
     "detuned_two_level": ZooEntry(
         name="detuned_two_level", kind="family", build=build_detuned_two_level,
         closed_form=closed_detuned_two_level,
-        defaults={"gamma": 1.0, "kappa": 0.5, "delta": 2.0,
-                  "beta": 1.0, "omega0": 1.0},
         summary="strongly detuned driven atom; limit shifts the frequency",
     ),
     "three_input_qubit": ZooEntry(
         name="three_input_qubit", kind="slh", build=build_three_input_qubit,
         closed_form=closed_three_input_qubit,
-        defaults={"kappa1": 1.0, "kappa2": 0.7, "kappa3": 0.4,
-                  "delta": 0.3, "alpha": 0.5},
         summary="driven qubit with three input fields",
     ),
     "kerr_qubit": ZooEntry(
         name="kerr_qubit", kind="family", build=build_kerr_qubit,
         closed_form=closed_kerr_qubit,
-        defaults={"kappa1": 1.0, "kappa2": 0.7, "delta": 0.3,
-                  "alpha": 0.5, "chi0": 1.0, "n_max": 8},
         summary="strong Kerr cavity reducing to a driven qubit",
     ),
     "lambda_system": ZooEntry(
         name="lambda_system", kind="family", build=build_lambda_system,
         closed_form=closed_lambda_system,
-        defaults={"gamma": 1.0, "alpha": 0.5, "g": 1.0, "n_max": 8},
         summary="three-level atom in a lossy cavity; two-dim dark subspace",
     ),
 }
@@ -433,14 +426,10 @@ def entry(name: str) -> ZooEntry:
 def build(name: str, **params):
     """Instantiate a zoo entry; unknown names or parameters raise BadParam."""
     e = entry(name)
-    merged = dict(e.defaults)
-    unknown = set(params) - set(merged)
-    if name == "lambda_system":
-        unknown -= {"slow_indices"}
+    unknown = set(params) - set(e.defaults)
     if unknown:
         raise BadParam(f"unknown parameters for {name}: {sorted(unknown)}")
-    merged.update(params)
-    return e.build(**merged)
+    return e.build(**params)
 
 
 def closed_form_char(name: str, params: dict, s):
@@ -448,6 +437,4 @@ def closed_form_char(name: str, params: dict, s):
     e = entry(name)
     if e.closed_form is None:
         raise NoClosedForm(f"{name} has no closed-form characteristic operator")
-    merged = dict(e.defaults)
-    merged.update(params)
-    return e.closed_form(merged, s)
+    return e.closed_form({**e.defaults, **params}, s)

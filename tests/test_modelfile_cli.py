@@ -1,5 +1,6 @@
 """Model-file container, sweep CSV, SVG emission, and the CLI contract."""
 
+import copy
 import json
 from pathlib import Path
 import xml.etree.ElementTree as ET
@@ -7,11 +8,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from slhkit import (
     FrequencyGrid,
     ScaledSLHFamily,
     SLHModel,
+    SlhkitError,
     StratonovichCoefficients,
     identity,
     ito_to_stratonovich,
@@ -89,6 +92,44 @@ def test_parse_errors_name_field_and_index(tmp_path):
 
     with pytest.raises(modelfile.ModelFileError):
         modelfile.loads("not json at all")
+
+
+# one small valid file of each kind: labels (slh), slow_indices (family), E (stratonovich)
+_FUZZ_DOCS = [json.loads(modelfile.dumps(obj)) for obj in (
+    zoo.build("thermal_qubit"), zoo.build("detuned_two_level"),
+    ito_to_stratonovich(zoo.build("thermal_qubit")))]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_loads_fuzz_raises_only_slhkit_errors(data):
+    # replace or delete random nodes of a valid file; loads either returns an
+    # object or refuses the text with an SlhkitError, never anything else
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or data.draw(st.booleans())):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        if parent is None:
+            doc = data.draw(_JSON_VALUES)
+        elif data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON_VALUES)
+    try:
+        obj = modelfile.loads(json.dumps(doc))
+    except SlhkitError:
+        return
+    assert isinstance(obj, (SLHModel, ScaledSLHFamily, StratonovichCoefficients))
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -218,6 +259,21 @@ def test_cli_check_pass_fail_and_io(runner, tmp_path):
         assert res.exit_code == 1, tol
         assert res.output.startswith("Error: --tol must be finite and >= 0"), tol
         assert len(res.output.splitlines()) == 1, tol
+
+
+@pytest.mark.parametrize("kind", [[], {}])
+def test_cli_non_string_kind_exits_one(runner, tmp_path, kind):
+    path = _write_zoo(runner, tmp_path, "thermal_qubit")
+    doc = json.loads(path.read_text())
+    doc["kind"] = kind
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped TypeError
+    assert "Traceback" not in res.output
+    assert res.output.startswith(f"error: {bad}: kind: ")
+    assert len(res.output.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["check", "limit"])
@@ -475,6 +531,28 @@ def test_cli_zoo_list_and_unicode_params(runner, tmp_path):
 
     res = runner.invoke(main, ["zoo", "does_not_exist"])
     assert res.exit_code == 1
+
+
+def test_cli_zoo_refuses_non_numeric_parameter(runner):
+    # slow_indices defaults to None and is set only from Python
+    res = runner.invoke(main, ["zoo", "lambda_system", "slow_indices=3"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped TypeError
+    assert res.output == "error: cannot parse value for slow_indices: '3'\n"
+
+
+@pytest.mark.parametrize("name", zoo.names())
+def test_cli_zoo_numeric_defaults_reproduce_default_file(runner, name):
+    default_file = runner.invoke(main, ["zoo", name]).output
+    numeric = {key: value for key, value in zoo.entry(name).defaults.items()
+               if type(value) in (int, float, complex)}
+    assert numeric
+    for key, value in numeric.items():
+        text = (f"{value.real!r},{value.imag!r}" if type(value) is complex
+                else repr(value))
+        res = runner.invoke(main, ["zoo", name, f"{key}={text}"])
+        assert res.exit_code == 0, res.output
+        assert res.output == default_file, key
 
 
 def test_cli_tol_env_override(runner, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from slhkit import (
     BadParam,
     BlockPartition,
+    BlockedOperator,
     SLHModel,
     ShapeError,
     char_blocks,
@@ -67,6 +68,18 @@ def test_partition_operator_cuts_stacked_axes(rng, n):
         reassemble_operator(partition_operator(np.zeros((6, 6)),
                                                BlockPartition(dim=6, slow_indices=(0,))),
                             part)
+
+
+@pytest.mark.parametrize("name, shape", [("X_ss", (5, 2)), ("X_sf", (1, 1)),
+                                         ("X_fs", (1, 1)), ("X_ff", (2, 2))])
+def test_reassemble_operator_refuses_misshaped_block(rng, name, shape):
+    # correct shapes are X_ss 2 x 2, X_sf 2 x 1, X_fs 1 x 2 and X_ff 1 x 1;
+    # a (1, 1) off-diagonal block would otherwise broadcast into its place
+    part = BlockPartition(dim=3, slow_indices=(0, 2))
+    blocks = dict(vars(partition_operator(random_complex(rng, 3, 3), part)))
+    blocks[name] = np.ones(shape, dtype=complex)
+    with pytest.raises(ShapeError, match=name):
+        reassemble_operator(BlockedOperator(**blocks), part)
 
 
 def test_partition_validation():

@@ -1,5 +1,7 @@
 """Ito/Stratonovich conversion, Cayley transforms, and k-scaled limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from slhkit import (
     BlockPartition,
     CayleySingular,
     InvalidCoefficients,
+    InvalidFamily,
     ScaledSLHFamily,
     SLHModel,
     StratScaledFamily,
@@ -202,3 +205,14 @@ def test_strat_adiabatic_limit_rejects_coupled_ell(rng):
                           partition=BlockPartition(dim=2, slow_indices=(0,)))
     with pytest.raises(AssumptionViolated):
         strat_adiabatic_limit(fam, 1.0)
+
+
+@pytest.mark.parametrize("field, value", [("L1", 0.3), ("H2", 0.5)])
+def test_strat_adiabatic_limit_refuses_broken_block_structure(field, value):
+    # basis (excited, ground); ground is slow, so [1, 1] is in a slow column
+    # of L1 and is the slow block of H2
+    fam = zoo.build("detuned_two_level")
+    broken = np.array(getattr(fam, field))
+    broken[1, 1] = value
+    with pytest.raises(InvalidFamily):
+        strat_adiabatic_limit(dataclasses.replace(fam, **{field: broken}), 1.0)
