@@ -12,8 +12,10 @@ The generator decomposes as K(k) = k^2 A + k Z + R with A supported on the
 fast-fast block.  As k grows the characteristic operator converges to a
 limit model whose coefficients are Schur complements in A_ff.  One balanced
 pencil in eps = 1/k gives T_k(s) for every k in (0, inf]; eps = 0 is the limit.
-The slow-first permutation, the blocks A, Z, R and the structural residuals
-are derived once per family object and shared by every routine here.
+The slow-first permutation of the plant axis, the blocks A, Z, R and the
+structural residuals are derived once per family object and shared by every
+routine here.  The stacked input axis is never permuted, so every limit
+comes back in the family's own order.
 """
 
 from __future__ import annotations
@@ -97,29 +99,29 @@ class ScaledSLHFamily:
 class _SlowFirst:
     """A family's slow-first data, derived once and read-only.
 
-    Holds the permutations, the family matrices reordered so the slow block
-    leads, K(k) = k^2 A + k Z + R in that order, the structural,
-    Hermiticity and K-identity residuals, and the condition estimate of A_ff.
-    A lives on the fast-fast block and Z_ss = 0.  By construction the K
-    identities R_ss + R_ss* = -L0_s* L0_s, Z_sf + Z_fs* = -L0_s* L1_f and
-    A_ff + A_ff* = -L1_f* L1_f hold; ``identities`` holds their residuals.
+    Only the plant axis is reordered so the slow block leads: the columns of
+    L0 and L1 and both axes of H0, H1, H2, A, Z and R.  S and the rows of L0
+    and L1 (the stacked input axis) keep the family's order, so every result
+    built from them is already in that order.  Holds K(k) = k^2 A + k Z + R,
+    the structural, Hermiticity and K-identity residuals, and the condition
+    estimate of A_ff.  A lives on the fast-fast block and Z_ss = 0.  By
+    construction the K identities R_ss + R_ss* = -L0_s* L0_s,
+    Z_sf + Z_fs* = -L0_s* L1_f and A_ff + A_ff* = -L1_f* L1_f hold;
+    ``identities`` holds their residuals.
     """
 
     def __init__(self, family: ScaledSLHFamily):
         part = family.partition
         self.m, self.n, self.ms = family.dim, family.n_inputs, part.n_slow
         self.sl, self.fa = slice(0, self.ms), slice(self.ms, self.m)
-        perm_m = part.perm
-        perm_nm = np.concatenate([i * self.m + perm_m for i in range(self.n)])
-        self.inv_m, self.inv_nm = np.argsort(perm_m), np.argsort(perm_nm)
-        # input-major, slow first within each input: not the stacked_rows order
-        rows_m, rows_nm = perm_m[:, None], perm_nm[:, None]
-        self.S = family.S[rows_nm, perm_nm]
-        self.L0 = family.L0[rows_nm, perm_m]
-        self.L1 = family.L1[rows_nm, perm_m]
-        self.H0 = family.H0[rows_m, perm_m]
-        self.H1 = family.H1[rows_m, perm_m]
-        self.H2 = family.H2[rows_m, perm_m]
+        perm = part.perm
+        self.inv_m = np.argsort(perm)
+        self.S = family.S
+        self.L0 = family.L0[:, perm]
+        self.L1 = family.L1[:, perm]
+        self.H0 = family.H0[perm[:, None], perm]
+        self.H1 = family.H1[perm[:, None], perm]
+        self.H2 = family.H2[perm[:, None], perm]
         self.A = -0.5 * dagger(self.L1) @ self.L1 - 1j * self.H2
         self.Z = (-0.5 * (dagger(self.L1) @ self.L0 + dagger(self.L0) @ self.L1)
                   - 1j * self.H1)
@@ -150,12 +152,6 @@ class _SlowFirst:
 
     def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
         return X[self.inv_m[:, None], self.inv_m]
-
-    def unpermute_stacked(self, X: np.ndarray) -> np.ndarray:
-        return X[self.inv_nm[:, None], self.inv_m]
-
-    def unpermute_full(self, X: np.ndarray) -> np.ndarray:
-        return X[self.inv_nm[:, None], self.inv_nm]
 
 
 def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
@@ -257,7 +253,7 @@ def scaled_resolvent_limit(M11, M12, M21, M22, s) -> BlockedOperator:
 
 
 def _pencil_char_op(p: _SlowFirst, s, eps: float) -> np.ndarray:
-    """T_k(s) = S - G N^-1 G* S at eps = 1/k, slow-first; eps = 0 is the limit.
+    """T_k(s) = S - G N^-1 G* S at eps = 1/k; eps = 0 is the limit.
 
     With W = diag(1, eps), Z_ss = 0 and A fast-fast only, N = W (s - K(1/eps)) W
     and G = L(1/eps) W are O(1) for every k >= 1:
@@ -286,11 +282,10 @@ def limit_char_op(family: ScaledSLHFamily, s) -> BlockOperatorMatrix:
     """Limit characteristic operator That(s), the balanced pencil at eps = 0.
 
     There N = [[s - R_ss, -Z_sf], [-Z_fs, -A_ff]], whose Schur complement in
-    A_ff is s - Khat_ss.  Returned in the original basis order.
+    A_ff is s - Khat_ss.
     """
-    p = _require_assumptions(family)
-    T = _pencil_char_op(p, s, 0.0)
-    return BlockOperatorMatrix(p.unpermute_full(T), family.dim)
+    return BlockOperatorMatrix(_pencil_char_op(_require_assumptions(family), s, 0.0),
+                               family.dim)
 
 
 @dataclass(frozen=True)
@@ -335,7 +330,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     Z_sf, Z_fs = p.Z[sl, fa], p.Z[fa, sl]
     L0s, L1f = p.L0[:, sl], p.L1[:, fa]
 
-    Shat_perm = p.S + L1f @ Aff_inv @ dagger(L1f) @ p.S
+    Shat = p.S + L1f @ Aff_inv @ dagger(L1f) @ p.S
     Lhat_slow = L0s - L1f @ Aff_inv @ Z_fs          # nm x ms
     Hhat_ss = p.H0[sl, sl] + imag_part(Z_sf @ Aff_inv @ Z_fs)
 
@@ -354,10 +349,9 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     Lhat_perm[:, sl] = Lhat_slow
     Hhat_perm = np.zeros((p.m, p.m), dtype=complex)
     Hhat_perm[sl, sl] = Hhat_ss
-    _, shat_res = is_unitary(Shat_perm, tol)
+    _, shat_res = is_unitary(Shat, tol)
 
-    Shat = p.unpermute_full(Shat_perm)
-    Lhat = p.unpermute_stacked(Lhat_perm)
+    Lhat = Lhat_perm[:, p.inv_m]
     Hhat = p.unpermute_plant(Hhat_perm)
     dec_residual = _decoupling_residual(Shat, Lhat, family.partition)
     decoupled = dec_residual <= tol
@@ -428,8 +422,6 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s) -> np.ndarray:
     Htil_ss = H0_ss - H1_sf H2_ff^-1 H1_fs that block is
 
         -i H2_ff^-1 + H2_ff^-1 H1_fs (s + i Htil_ss)^-1 H1_sf H2_ff^-1.
-
-    Returned in the original basis order.
     """
     p = _require_structure(family)
     sl, fa = p.sl, p.fa
@@ -437,7 +429,7 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s) -> np.ndarray:
         D = scaled_resolvent_limit(1j * p.H0[sl, sl], 1j * p.H1[sl, fa],
                                    1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s)
     L1f = p.L1[:, fa]
-    return p.unpermute_full(L1f @ D.X_ff @ dagger(L1f))
+    return L1f @ D.X_ff @ dagger(L1f)
 
 
 @dataclass(frozen=True)

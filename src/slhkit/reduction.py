@@ -205,6 +205,21 @@ def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
     return reassemble_operator(blocks, partition)
 
 
+def _worst_over_samples(residual, s_samples, tol):
+    """(ok, worst, skipped) of ``residual(s)`` over the samples: singular
+    points are skipped and listed; ``ok`` needs a checked point within tol."""
+    worst, skipped, checked = 0.0, [], 0
+    for s in s_samples:
+        try:
+            r = residual(s)
+        except SingularMatrix as exc:
+            skipped.append((complex(s), str(exc)))
+            continue
+        checked += 1
+        worst = max(worst, r)
+    return checked > 0 and worst <= tol, worst, tuple(skipped)
+
+
 def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
                  tol: float = 1e-9):
     """Certify T_21 = T_12 = 0 at the sampled points only.
@@ -214,19 +229,11 @@ def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
     decoupling quantifies over all s; a finite sample is what is checkable,
     so choose the grid accordingly.
     """
-    worst = 0.0
-    skipped = []
-    checked = 0
-    for s in s_samples:
-        try:
-            blocks = char_blocks(model, partition, s)
-        except SingularMatrix as exc:
-            skipped.append((complex(s), str(exc)))
-            continue
-        checked += 1
-        worst = max(worst, max_abs(blocks.X_sf), max_abs(blocks.X_fs))
-    ok = checked > 0 and worst <= tol
-    return ok, worst, tuple(skipped)
+    def residual(s):
+        blocks = char_blocks(model, partition, s)
+        return max(max_abs(blocks.X_sf), max_abs(blocks.X_fs))
+
+    return _worst_over_samples(residual, s_samples, tol)
 
 
 def is_reduced_model(full: SLHModel, candidate: SLHModel,
@@ -241,24 +248,12 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
         raise ShapeError("candidate must have the same number of inputs")
     if candidate.dim != partition.n_slow:
         raise ShapeError("candidate dim must equal the slow block size")
-    worst = 0.0
-    skipped = []
-    checked = 0
-    n_f = partition.n_fast * full.n_inputs
-    I_f = np.eye(n_f)
-    for s in s_samples:
-        try:
-            blocks = char_blocks(full, partition, s)
-            Tc = char_op(candidate, s).data
-        except SingularMatrix as exc:
-            skipped.append((complex(s), str(exc)))
-            continue
-        checked += 1
-        worst = max(
-            worst,
-            max_abs(blocks.X_ss - Tc),
-            max_abs(blocks.X_sf),
-            max_abs(blocks.X_fs),
-            max_abs(blocks.X_ff - I_f),
-        )
-    return checked > 0 and worst <= tol, worst, tuple(skipped)
+    I_f = np.eye(partition.n_fast * full.n_inputs)
+
+    def residual(s):
+        blocks = char_blocks(full, partition, s)
+        Tc = char_op(candidate, s).data
+        return max(max_abs(blocks.X_ss - Tc), max_abs(blocks.X_sf),
+                   max_abs(blocks.X_fs), max_abs(blocks.X_ff - I_f))
+
+    return _worst_over_samples(residual, s_samples, tol)

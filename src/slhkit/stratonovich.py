@@ -48,6 +48,7 @@ from .operators import (
     inverse,
     max_abs,
 )
+from .reduction import partition_operator
 
 STRAT_TOL = 1e-9
 
@@ -204,43 +205,32 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
     """Adiabatic limit of T_k(s) computed through the Stratonovich form.
 
     ``family`` is a slow/fast :class:`~slhkit.adiabatic.ScaledSLHFamily`
-    whose block structure holds (InvalidFamily otherwise).
-    Requires Ell (computed from S) to be block diagonal with respect to the
-    partition and the k^2 drift block E00_ff to be invertible.  The result
-    equals the limit of the direct route (limit_slh / limit_char_op) and is
-    returned in the original basis order.  It raises ResolventSingular at
-    poles of (s + i Ehat00_ss)^-1 that cancel in (I - X)(I + X)^-1, where
-    the limit is finite; limit_char_op evaluates there.
+    whose block structure holds (InvalidFamily otherwise).  The coefficients
+    come from :func:`ito_to_stratonovich`: on (S, L0, H0) it gives Ell and
+    the k^0 parts of El0 and E00, on (S, L1, H2) the k part of El0 and the
+    k^2 part of E00; only the k part of E00 is formed here.  When S has an
+    eigenvalue at -1 that function's CayleySingular is raised.  Requires Ell
+    to be block diagonal over the partition and the k^2 drift block E00_ff
+    to be invertible.  The result equals the limit of the direct route
+    (limit_slh / limit_char_op).  It raises ResolventSingular at poles of
+    (s + i Ehat00_ss)^-1 that cancel in (I - X)(I + X)^-1, where the limit is
+    finite; limit_char_op evaluates there.
     """
     p = _require_structure(family)
-    S, L0, L1, H0, H1, H2 = p.S, p.L0, p.L1, p.H0, p.H1, p.H2
-    m, n, sl, fa = p.m, p.n, p.sl, p.fa
-    nm = n * m
-
-    I = np.eye(nm, dtype=complex)
-    try:
-        P = inverse(S + I)
-    except SingularMatrix as exc:
-        raise CayleySingular(
-            "S + 1 not invertible; Stratonovich route unavailable"
-        ) from exc
-    Ell = 2j * (S - I) @ P
-    Ell = 0.5 * (Ell + dagger(Ell))
-
-    # Ell must not couple slow and fast plant sectors (within each input block).
-    blocks = Ell.reshape(n, m, n, m)
-    off = max(max_abs(blocks[:, sl, :, fa]), max_abs(blocks[:, fa, :, sl]))
+    sl, fa = p.sl, p.fa
+    E0 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L0, H=p.H0))
+    Ell = E0.Ell
+    cut = partition_operator(Ell, family.partition)
+    off = max(max_abs(cut.X_sf), max_abs(cut.X_fs))
     if off > STRAT_TOL:
         raise AssumptionViolated(
             f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
         )
 
-    G1 = -2j * P @ L1   # k-linear part of El0; slow columns vanish with L1's
-    G0 = -2j * P @ L0
-    # E00(k) = P0 + k P1 + k^2 P2 from E00 = H + (1/4) L* Ell L.
-    P2 = H2 + 0.25 * dagger(L1) @ Ell @ L1
-    P1 = H1 + 0.25 * (dagger(L1) @ Ell @ L0 + dagger(L0) @ Ell @ L1)
-    P0 = H0 + 0.25 * dagger(L0) @ Ell @ L0
+    # El0(k) = G0 + k G1 and E00(k) = P0 + k P1 + k^2 P2; G1 has no slow columns.
+    E2 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L1, H=p.H2))
+    G0, G1, P0, P2 = E0.El0, E2.El0, E0.E00, E2.E00
+    P1 = p.H1 + 0.25 * (dagger(p.L1) @ Ell @ p.L0 + dagger(p.L0) @ Ell @ p.L1)
 
     E00ff = P2[fa, fa]
     cond = condition_estimate(E00ff)
@@ -254,6 +244,6 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
             1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s)
     G = np.hstack([G0[:, sl], G1[:, fa]])  # columns ordered (slow, fast)
     X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
+    I = np.eye(Ell.shape[0], dtype=complex)
     with singular_at(s, "(I + X(s)) not invertible"):
-        T = (I - X) @ inverse(I + X)
-    return p.unpermute_full(T)
+        return (I - X) @ inverse(I + X)

@@ -12,6 +12,8 @@ finite-strength convergence, respectively.
 from __future__ import annotations
 
 import inspect
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,12 +425,31 @@ def entry(name: str) -> ZooEntry:
         raise BadParam(f"unknown zoo entry {name!r}; known: {', '.join(names())}") from None
 
 
+# A value must fit the type of its default, the rule ``zoo`` on the command
+# line parses by; a bool is never a number here.
+_FITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+         complex: (numbers.Number, "a number")}
+
+
+def _fits(value, default) -> bool:
+    if default is None:  # slow_indices: None or a sequence of integers
+        return value is None or (isinstance(value, Sequence)
+                                 and all(_fits(i, 0) for i in value))
+    return isinstance(value, _FITS[type(default)][0]) and not isinstance(value, bool)
+
+
 def build(name: str, **params):
-    """Instantiate a zoo entry; unknown names or parameters raise BadParam."""
+    """Instantiate a zoo entry; unknown names or parameters, values that do
+    not fit the type of their default, and values out of range raise BadParam."""
     e = entry(name)
-    unknown = set(params) - set(e.defaults)
+    defaults = e.defaults
+    unknown = set(params) - set(defaults)
     if unknown:
         raise BadParam(f"unknown parameters for {name}: {sorted(unknown)}")
+    for key, value in params.items():
+        if not _fits(value, defaults[key]):
+            what = _FITS.get(type(defaults[key]), (0, "None or a sequence of integers"))
+            raise BadParam(f"{name}: {key} must be {what[1]}, got {value!r}")
     return e.build(**params)
 
 

@@ -37,15 +37,18 @@ def random_model(rng, n_inputs, dim, coupling_scale=1.0):
     )
 
 
-def random_family(rng, n_inputs, n_slow, n_fast, contiguous=True):
+def random_family(rng, n_inputs, n_slow, n_fast, contiguous=True, slow=None):
     """Random scaled family satisfying the structural assumptions.
 
     A_ff is pushed away from singularity with a Hamiltonian offset so that
-    check_assumptions passes for every draw.
+    check_assumptions passes for every draw.  ``slow`` fixes the slow
+    indices; otherwise they lead, or are drawn when not ``contiguous``.
     """
     m = n_slow + n_fast
     nm = n_inputs * m
-    if contiguous:
+    if slow is not None:
+        slow = tuple(slow)
+    elif contiguous:
         slow = tuple(range(n_slow))
     else:
         slow = tuple(sorted(rng.choice(m, size=n_slow, replace=False).tolist()))

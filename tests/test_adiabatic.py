@@ -414,6 +414,15 @@ def test_sigma_allpass_limit_finite_k_oracle(rng):
     Sig_k = Lk @ inverse(s * identity(m) + 1j * Hk) @ dagger(Lk)
     assert max_abs(Sig_k - Sig_hat) <= 1e-3
 
+    # two inputs and a non-contiguous split: the stacked rows keep their order
+    fam = random_family(rng, 2, 2, 2, slow=(1, 3))
+    fam = dataclasses.replace(fam, S=identity(2 * m), L0=np.zeros((2 * m, m)))
+    Sig_hat = sigma_allpass_limit(fam, s)
+    Lk = k * fam.L1
+    Hk = fam.H0 + k * fam.H1 + k * k * fam.H2
+    Sig_k = Lk @ inverse(s * identity(m) + 1j * Hk) @ dagger(Lk)
+    assert max_abs(Sig_k - Sig_hat) <= 1e-3
+
 
 def test_convergence_study_slopes_and_short_lists():
     fam = zoo.build("detuned_two_level", gamma=1.0, kappa=0.5, delta=2.0,

@@ -30,7 +30,8 @@ from slhkit import (
     stratonovich_to_ito,
 )
 from slhkit import zoo
-from conftest import random_complex, random_hermitian, random_model
+from conftest import (random_complex, random_family, random_hermitian, random_model,
+                      random_unitary)
 
 
 def test_zero_coefficients_map_to_trivial_model():
@@ -155,7 +156,7 @@ def test_scaling_limit_k_sweep_converges(rng):
     assert errs[1] < errs[0] / 10.0
 
 
-def test_strat_adiabatic_limit_matches_direct_route():
+def test_strat_adiabatic_limit_matches_direct_route(rng):
     fam = zoo.build("detuned_two_level", gamma=1.2, kappa=0.5, delta=2.0,
                     beta=0.8 - 0.3j, omega0=1.0)
     for s in (0.7, 1.0 + 0.6j):
@@ -167,6 +168,16 @@ def test_strat_adiabatic_limit_matches_direct_route():
     T_strat = strat_adiabatic_limit(kerr, 0.8)
     T_direct = limit_char_op(kerr, 0.8).data
     assert max_abs(T_strat - T_direct) <= 1e-9
+
+    # several inputs and a non-contiguous split, where the stacked order of
+    # the nm axis matters; S = U (x) I keeps Ell block diagonal
+    for n, slow in ((2, (1, 3)), (2, (0, 2, 3)), (3, (0, 2)), (3, (1,))):
+        fam = random_family(rng, n, len(slow), 4 - len(slow), slow=slow)
+        fam = dataclasses.replace(fam, S=np.kron(random_unitary(rng, n), identity(4)))
+        for s in (0.7, 1.0 + 0.6j):
+            T_strat = strat_adiabatic_limit(fam, s)
+            T_direct = limit_char_op(fam, s).data
+            assert max_abs(T_strat - T_direct) <= 1e-9
 
 
 def test_strat_adiabatic_limit_slow_block_unchanged(rng):

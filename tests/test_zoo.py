@@ -45,6 +45,26 @@ def test_parameter_range_validation():
         zoo.build("detuned_two_level", delta=0.0)
 
 
+@pytest.mark.parametrize("params", [
+    {"n_max": 2.5},               # int default given a non-integer
+    {"n_max": True},              # ... or a bool
+    {"gamma": "abc"},             # float default given a non-number
+    {"gamma": 1.0 + 1.0j},
+    {"alpha": "0.5"},             # complex default given a non-number
+    {"slow_indices": 3},          # neither None nor a sequence of ints
+    {"slow_indices": (0.0, 1.0)},
+])
+def test_parameter_type_must_fit_its_default(params):
+    with pytest.raises(BadParam):
+        zoo.build("lambda_system", **params)
+
+
+def test_parameter_types_that_fit_their_default_build():
+    fam = zoo.build("lambda_system", gamma=np.float64(1), alpha=1, g=2, n_max=np.int64(2),
+                    slow_indices=[0, 3])
+    assert fam.partition.slow_indices == (0, 3)
+
+
 def test_thermal_qubit_coupling_formula():
     model = zoo.build("thermal_qubit", gamma=1.0, n=0.5, omega=1.0)
     expected = np.sqrt(1.5) * pauli("minus") + np.sqrt(0.5) * pauli("plus")
