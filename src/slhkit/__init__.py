@@ -72,7 +72,6 @@ from .stratonovich import (
     coefficients_from_parts,
     ito_to_stratonovich,
     k_from_stratonovich,
-    strat_adiabatic_limit,
     strat_scaling_limit,
     stratonovich_to_ito,
 )
@@ -102,6 +101,7 @@ from .adiabatic import (
     scaled_resolvent_limit,
     sigma_allpass_limit,
     slow_indices_from_kernel,
+    strat_adiabatic_limit,
 )
 from . import modelfile, svgplot, zoo
 

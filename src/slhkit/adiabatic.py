@@ -14,8 +14,11 @@ limit model whose coefficients are Schur complements in A_ff.  One balanced
 pencil in eps = 1/k gives T_k(s) for every k in (0, inf]; eps = 0 is the limit.
 The slow-first permutation of the plant axis, the blocks A, Z, R and the
 structural residuals are derived once per family object and shared by every
-routine here.  The stacked input axis is never permuted, so every limit
-comes back in the family's own order.
+routine here; no other module reads a family's slow/fast layout.  The stacked
+input axis is never permuted and limit models are written back by slow index,
+so every limit comes back in the family's own order.  The Stratonovich
+cross-check :func:`strat_adiabatic_limit` converts (S, L0, H0) once; the Cayley
+identity (S + 1)^-1 = (1 + (i/2) Ell)/2 gives its k-dependent coefficients.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .operators import (
     solve,
 )
 from .reduction import BlockPartition, BlockedOperator, block_inverse, partition_operator
+from .stratonovich import ito_to_stratonovich
 
 STRUCT_TOL = 1e-9
 AFF_COND_LIMIT = 1e10
@@ -115,7 +119,6 @@ class _SlowFirst:
         self.m, self.n, self.ms = family.dim, family.n_inputs, part.n_slow
         self.sl, self.fa = slice(0, self.ms), slice(self.ms, self.m)
         perm = part.perm
-        self.inv_m = np.argsort(perm)
         self.S = family.S
         self.L0 = family.L0[:, perm]
         self.L1 = family.L1[:, perm]
@@ -150,18 +153,15 @@ class _SlowFirst:
         }
         self.aff_condition = condition_estimate(A_ff)
 
-    def unpermute_plant(self, X: np.ndarray) -> np.ndarray:
-        return X[self.inv_m[:, None], self.inv_m]
 
-
-def _require_structure(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
+def _require_structure(family: ScaledSLHFamily) -> _SlowFirst:
     """The family's slow-first view, once its structure and Hermiticity hold."""
     p = family._slow_first
-    bad = {k: v for k, v in p.structural.items() if v > tol}
+    bad = {k: v for k, v in p.structural.items() if v > STRUCT_TOL}
     if bad:
         raise InvalidFamily(f"family violates its block structure: {bad}")
     for name, r in p.hermiticity.items():
-        if r > tol:
+        if r > STRUCT_TOL:
             raise InvalidFamily(f"{name} is not Hermitian: residual {r:.3e}")
     return p
 
@@ -197,10 +197,10 @@ class AssumptionReport:
         return worst <= tol and self.aff_invertible
 
 
-def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> AssumptionReport:
+def check_assumptions(family: ScaledSLHFamily) -> AssumptionReport:
     """Report on structure, Hermiticity, S unitarity, and A_ff invertibility."""
     p = family._slow_first
-    _, s_res = is_unitary(family.S, tol)
+    _, s_res = is_unitary(family.S)
     cond = p.aff_condition
     invertible = cond_ok(cond, AFF_COND_LIMIT)
     msgs = []
@@ -226,7 +226,7 @@ def check_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> Assum
 
 def _require_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
     """The family's slow-first view, once it passes the limit assumptions."""
-    report = check_assumptions(family, tol)
+    report = check_assumptions(family)
     if not report.passed(tol):
         raise AssumptionViolated(
             "family fails the limit assumptions: "
@@ -345,14 +345,13 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     )
     alt_residual = max_abs(Hhat_ss - Hhat_alt)
 
-    Lhat_perm = np.zeros((p.n * p.m, p.m), dtype=complex)
-    Lhat_perm[:, sl] = Lhat_slow
-    Hhat_perm = np.zeros((p.m, p.m), dtype=complex)
-    Hhat_perm[sl, sl] = Hhat_ss
+    slow = np.array(family.partition.slow_indices)
+    Lhat = np.zeros((p.n * p.m, p.m), dtype=complex)
+    Lhat[:, slow] = Lhat_slow
+    Hhat = np.zeros((p.m, p.m), dtype=complex)
+    Hhat[np.ix_(slow, slow)] = Hhat_ss
     _, shat_res = is_unitary(Shat, tol)
 
-    Lhat = Lhat_perm[:, p.inv_m]
-    Hhat = p.unpermute_plant(Hhat_perm)
     dec_residual = _decoupling_residual(Shat, Lhat, family.partition)
     decoupled = dec_residual <= tol
     return LimitModel(
@@ -430,6 +429,56 @@ def sigma_allpass_limit(family: ScaledSLHFamily, s) -> np.ndarray:
                                    1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s)
     L1f = p.L1[:, fa]
     return L1f @ D.X_ff @ dagger(L1f)
+
+
+def strat_adiabatic_limit(family: ScaledSLHFamily, s) -> np.ndarray:
+    """Adiabatic limit of T_k(s) through the Stratonovich form.
+
+    An independent route to :func:`limit_char_op` (InvalidFamily when the
+    block structure fails).  :func:`~slhkit.stratonovich.ito_to_stratonovich`
+    on (S, L0, H0) gives Ell, G0 and P0 (CayleySingular when S has an
+    eigenvalue at -1); with (S + 1)^-1 = (1 + (i/2) Ell)/2 the coefficients are
+
+        El0(k) = G0 + k G1,              G1 = -i (1 + (i/2) Ell) L1
+        E00(k) = P0 + k P1 + k^2 P2,     P1 = H1 + 1/4 (L1* Ell L0 + L0* Ell L1)
+                                         P2 = H2 + 1/4 L1* Ell L1
+
+    G1 has no slow columns.  Requires Ell to be block diagonal over the
+    partition and P2_ff to be invertible (AssumptionViolated otherwise).  It
+    raises ResolventSingular at poles of (s + i Ehat00_ss)^-1 that cancel in
+    (I - X)(I + X)^-1, where the limit is finite; limit_char_op evaluates
+    there.
+    """
+    p = _require_structure(family)
+    sl, fa = p.sl, p.fa
+    E0 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L0, H=p.H0))
+    Ell = E0.Ell
+    cut = partition_operator(Ell, family.partition)
+    off = max(max_abs(cut.X_sf), max_abs(cut.X_fs))
+    if off > STRUCT_TOL:
+        raise AssumptionViolated(
+            f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
+        )
+
+    I = np.eye(Ell.shape[0], dtype=complex)
+    L1f = p.L1[:, fa]
+    G1f = -1j * (I + 0.5j * Ell) @ L1f
+    P2ff = p.H2[fa, fa] + 0.25 * dagger(L1f) @ Ell @ L1f
+    P2ff = 0.5 * (P2ff + dagger(P2ff))  # Hermitian, as in ito_to_stratonovich
+    P1 = p.H1 + 0.25 * (dagger(p.L1) @ Ell @ p.L0 + dagger(p.L0) @ Ell @ p.L1)
+    cond = condition_estimate(P2ff)
+    if not cond_ok(cond, AFF_COND_LIMIT):
+        raise AssumptionViolated(
+            f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
+        )
+
+    with singular_at(s, "(s + i Ehat00_ss) not invertible"):
+        D = scaled_resolvent_limit(
+            1j * E0.E00[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * P2ff, s)
+    G = np.hstack([E0.El0[:, sl], G1f])  # columns ordered (slow, fast)
+    X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
+    with singular_at(s, "(I + X(s)) not invertible"):
+        return (I - X) @ inverse(I + X)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .operators import (
     max_abs,
     solve,
 )
+from .stratonovich import ito_to_stratonovich
 
 
 @contextmanager
@@ -285,7 +286,6 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct") -> Sweep
     if method not in _SWEEP_METHODS:
         raise ShapeError(f"method must be one of {_SWEEP_METHODS}")
     if method == "stratonovich":
-        from .stratonovich import ito_to_stratonovich
         coeffs = ito_to_stratonovich(model)
         evaluate = lambda s: char_op_stratonovich(coeffs, s)
     elif method == "allpass":

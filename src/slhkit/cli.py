@@ -110,7 +110,7 @@ def cmd_check(path, tol):
             click.echo(f"  {msg}")
         failed = not report.passed(tol)
     elif isinstance(obj, ScaledSLHFamily):
-        report = adiabatic.check_assumptions(obj, tol)
+        report = adiabatic.check_assumptions(obj)
         click.echo(f"kind: family  n_inputs={obj.n_inputs} dim={obj.dim} "
                    f"slow={list(obj.partition.slow_indices)}")
         for name, val in report.structural.items():
@@ -268,7 +268,7 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
         ks = [float(v) for v in study_spec.split(",") if v] if study_spec else []
     except ValueError:
         raise click.ClickException("--study must be comma-separated numbers")
-    report = adiabatic.check_assumptions(obj, tol)
+    report = adiabatic.check_assumptions(obj)
     click.echo(f"assumptions: {'PASS' if report.passed(tol) else 'FAIL'}")
     for name, val in report.structural.items():
         click.echo(f"  structure {name}: {val:.3e}")

@@ -21,6 +21,11 @@ round trip exactly:
 (The sign of El0 differs from one printed source; substituting the printed
 sign back into the forward map yields -L, so the round-trip-consistent sign
 is used here.)
+
+Besides the two maps, this module holds the Stratonovich-scaled family
+(E00 = k^2 F00, El0 = k Fl0) and its scattering limit.  It knows nothing of
+a slow/fast split: the Stratonovich route of an SLH family's adiabatic limit
+is :func:`slhkit.adiabatic.strat_adiabatic_limit`.
 """
 
 from __future__ import annotations
@@ -29,26 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    CayleySingular,
-    InvalidCoefficients,
-    ShapeError,
-    SingularMatrix,
-)
-from .adiabatic import AFF_COND_LIMIT, _require_structure, scaled_resolvent_limit
-from .characteristic import singular_at
+from .errors import CayleySingular, InvalidCoefficients, ShapeError, SingularMatrix
 from .model import SLHModel
-from .operators import (
-    as_matrix,
-    cond_ok,
-    condition_estimate,
-    dagger,
-    imag_part,
-    inverse,
-    max_abs,
-)
-from .reduction import partition_operator
+from .operators import as_matrix, dagger, imag_part, inverse, max_abs
 
 STRAT_TOL = 1e-9
 
@@ -199,51 +187,3 @@ def strat_scaling_limit(family: StratScaledFamily) -> np.ndarray:
     F00inv = inverse(family.F00)
     Ehat = family.Fll - family.Fl0 @ F00inv @ dagger(family.Fl0)
     return cayley(Ehat)
-
-
-def strat_adiabatic_limit(family, s) -> np.ndarray:
-    """Adiabatic limit of T_k(s) computed through the Stratonovich form.
-
-    ``family`` is a slow/fast :class:`~slhkit.adiabatic.ScaledSLHFamily`
-    whose block structure holds (InvalidFamily otherwise).  The coefficients
-    come from :func:`ito_to_stratonovich`: on (S, L0, H0) it gives Ell and
-    the k^0 parts of El0 and E00, on (S, L1, H2) the k part of El0 and the
-    k^2 part of E00; only the k part of E00 is formed here.  When S has an
-    eigenvalue at -1 that function's CayleySingular is raised.  Requires Ell
-    to be block diagonal over the partition and the k^2 drift block E00_ff
-    to be invertible.  The result equals the limit of the direct route
-    (limit_slh / limit_char_op).  It raises ResolventSingular at poles of
-    (s + i Ehat00_ss)^-1 that cancel in (I - X)(I + X)^-1, where the limit is
-    finite; limit_char_op evaluates there.
-    """
-    p = _require_structure(family)
-    sl, fa = p.sl, p.fa
-    E0 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L0, H=p.H0))
-    Ell = E0.Ell
-    cut = partition_operator(Ell, family.partition)
-    off = max(max_abs(cut.X_sf), max_abs(cut.X_fs))
-    if off > STRAT_TOL:
-        raise AssumptionViolated(
-            f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
-        )
-
-    # El0(k) = G0 + k G1 and E00(k) = P0 + k P1 + k^2 P2; G1 has no slow columns.
-    E2 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L1, H=p.H2))
-    G0, G1, P0, P2 = E0.El0, E2.El0, E0.E00, E2.E00
-    P1 = p.H1 + 0.25 * (dagger(p.L1) @ Ell @ p.L0 + dagger(p.L0) @ Ell @ p.L1)
-
-    E00ff = P2[fa, fa]
-    cond = condition_estimate(E00ff)
-    if not cond_ok(cond, AFF_COND_LIMIT):
-        raise AssumptionViolated(
-            f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
-        )
-
-    with singular_at(s, "(s + i Ehat00_ss) not invertible"):
-        D = scaled_resolvent_limit(
-            1j * P0[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * E00ff, s)
-    G = np.hstack([G0[:, sl], G1[:, fa]])  # columns ordered (slow, fast)
-    X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
-    I = np.eye(Ell.shape[0], dtype=complex)
-    with singular_at(s, "(I + X(s)) not invertible"):
-        return (I - X) @ inverse(I + X)

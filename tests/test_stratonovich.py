@@ -1,6 +1,7 @@
 """Ito/Stratonovich conversion, Cayley transforms, and k-scaled limits."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from slhkit import (
     strat_scaling_limit,
     stratonovich_to_ito,
 )
-from slhkit import zoo
+from slhkit import operators, zoo
 from conftest import (random_complex, random_family, random_hermitian, random_model,
                       random_unitary)
 
@@ -216,6 +217,24 @@ def test_strat_adiabatic_limit_rejects_coupled_ell(rng):
                           partition=BlockPartition(dim=2, slow_indices=(0,)))
     with pytest.raises(AssumptionViolated):
         strat_adiabatic_limit(fam, 1.0)
+
+
+def test_strat_adiabatic_limit_converts_once(monkeypatch):
+    # nm x nm solves: S + I once (one conversion; the Cayley identity gives
+    # the k-dependent coefficients) and I + X once
+    fam = zoo.build("kerr_qubit")
+    nm = fam.n_inputs * fam.dim
+    original, shapes = operators.solve, []
+
+    def counting_solve(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return original(A, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("slhkit") and getattr(module, "solve", None) is original:
+            monkeypatch.setattr(module, "solve", counting_solve)
+    strat_adiabatic_limit(fam, 0.8)
+    assert shapes.count((nm, nm)) == 2
 
 
 @pytest.mark.parametrize("field, value", [("L1", 0.3), ("H2", 0.5)])
