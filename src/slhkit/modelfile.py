@@ -7,7 +7,14 @@ fields in file order; ``_shape`` gives each field's declared shape from
 ``n_inputs`` and ``dim``, and both ``dumps`` and ``loads`` run off them.  The
 writer renders every float with 17 significant digits, which round-trips
 binary64 exactly, and emits keys in a fixed order so that write -> read ->
-write is byte stable.
+write is byte stable.  It formats only the nonzero cells; a zero cell is the
+literal ``[0,0]``.
+
+The reader converts each matrix field in one piece: one ``np.array`` call,
+accepted only as a ``(rows, cols, 2)`` integer or float array.  The per-cell
+loop runs only when that conversion refuses a field, to name the defect
+(bool, string, null, non-pair cell, ragged row, number past the float range)
+at ``(i, j)``.
 
 Sweep results go to CSV with the header line
 
@@ -66,14 +73,33 @@ def _fmt(x: float) -> str:
 
 
 def _matrix_to_json(M: np.ndarray) -> str:
-    rows = []
-    for row in np.asarray(M, dtype=complex):
-        cells = ",".join(f"[{_fmt(z.real)},{_fmt(z.imag)}]" for z in row)
-        rows.append(f"[{cells}]")
-    return "[" + ",".join(rows) + "]"
+    M = np.asarray(M, dtype=complex)
+    # Most cells of a model are exactly 0 (-0.0 included), and _fmt prints
+    # both parts of such a cell as 0, so only nonzero cells are formatted.
+    cells = ["[0,0]"] * M.size
+    nonzero = np.flatnonzero(M)
+    for k, z in zip(nonzero.tolist(), M.ravel()[nonzero].tolist()):
+        cells[k] = f"[{_fmt(z.real)},{_fmt(z.imag)}]"
+    cols = M.shape[1]
+    rows = (",".join(cells[i * cols:(i + 1) * cols]) for i in range(M.shape[0]))
+    return "[" + ",".join(f"[{row}]" for row in rows) + "]"
 
 
-def _matrix_from_json(obj, field: str) -> np.ndarray:
+def _matrix_from_json(obj, field: str, may_hold_bools: bool) -> np.ndarray:
+    if not may_hold_bools:
+        try:
+            a = np.array(obj)
+        except (ValueError, OverflowError):  # ragged rows; some numpy versions on huge ints
+            a = None
+        # A string gives a str dtype, and null or an integer beyond 64 bits an
+        # object dtype; a bool would become 1.0 or 0.0, hence the caller's guard.
+        if a is not None and a.ndim == 3 and a.shape[2] == 2 and a.dtype.kind in "iuf":
+            # a view, not re + 1j * im, which turns an infinite im into a nan re
+            return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    # The fast conversion refused the field: walk it cell by cell to name the
+    # defect at (i, j).  The only fields that pass this walk hold an integer
+    # beyond 64 bits but within the float range, or sit in a text that holds
+    # true or false anywhere.
     if not isinstance(obj, list) or not obj:
         raise ModelFileError(field, "expected a nonempty list of rows")
     ncols = None
@@ -135,11 +161,14 @@ def loads(text: str):
             raise ModelFileError(field, "must be a positive integer")
     n, m = doc["n_inputs"], doc["dim"]
     cls, fields = _KINDS[kind]
+    # JSON spells every bool as the literal true or false, so a text without
+    # either holds no bool that np.array could silently turn into a number.
+    may_hold_bools = "true" in text or "false" in text
     mats = {}
     for key in fields:
         if key not in doc:
             raise ModelFileError(key, "matrix is missing")
-        mats[key] = _matrix_from_json(doc[key], key)
+        mats[key] = _matrix_from_json(doc[key], key, may_hold_bools)
         shape = _shape(key, n, m)
         if mats[key].shape != shape:
             raise ModelFileError(key, f"expected shape {shape}, got {mats[key].shape}")
@@ -190,7 +219,9 @@ def sweep_rows(s_values, matrices, statuses, n_inputs: int, dim: int):
         entries = failed if value is None else (
             np.asarray(value).reshape(n, m, n, m).transpose(0, 2, 1, 3).ravel())
         for label, z in zip(labels, entries.tolist()):
-            yield f"{head}{label},{_fmt(z.real)},{_fmt(z.imag)}{tail}"
+            # an exactly zero entry (-0.0 parts included) prints as 0,0 under _fmt
+            re_im = f"{_fmt(z.real)},{_fmt(z.imag)}" if z else "0,0"
+            yield f"{head}{label},{re_im}{tail}"
 
 
 def write_sweep_csv(path, s_values, matrices, statuses,

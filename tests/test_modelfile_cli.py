@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slhkit import (
+    BlockPartition,
     FrequencyGrid,
     ScaledSLHFamily,
     SLHModel,
@@ -53,6 +55,14 @@ def test_basis_labels_round_trip(tmp_path):
     back = modelfile.read_model(path)
     assert back.basis_labels == ("up", "down")
 
+    # a label spelled like a JSON bool sends every field through the
+    # per-cell walk, which must read the same matrices
+    labeled = modelfile.loads(modelfile.dumps(
+        SLHModel(S=model.S, L=model.L, H=model.H, basis_labels=("true", "false"))))
+    assert labeled.basis_labels == ("true", "false")
+    for name in ("S", "L", "H"):
+        assert getattr(labeled, name).tobytes() == getattr(back, name).tobytes()
+
 
 def test_family_round_trip(tmp_path):
     fam = zoo.build("lambda_system", n_max=3)
@@ -78,17 +88,42 @@ def test_stratonovich_round_trip(rng, tmp_path):
         assert np.array_equal(getattr(back, name), getattr(E, name))
 
 
-def test_parse_errors_name_field_and_index(tmp_path):
-    with pytest.raises(modelfile.ModelFileError) as err:
-        modelfile.loads('{"kind":"slh","n_inputs":1,"dim":1,'
-                        '"S":[[[1,0]]],"L":[[[0,"x"]]],"H":[[[0,0]]]}')
-    assert err.value.field == "L"
-    assert err.value.index == (0, 0)
+_PAIRS = "entries must be [re, im] pairs"
+_ROWS = "rows must be lists of equal length"
 
-    with pytest.raises(modelfile.ModelFileError) as err:
-        modelfile.loads('{"kind":"slh","n_inputs":1,"dim":2,'
-                        '"S":[[[1,0]]],"L":[[[0,0]]],"H":[[[0,0]]]}')
-    assert err.value.field == "S"
+
+def _h2(rows):
+    """An n = 1, m = 2 slh file text whose H matrix is ``rows``."""
+    return json.dumps({"kind": "slh", "n_inputs": 1, "dim": 2,
+                       "S": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                       "L": [[[0.5, 0.0], [0.0, 0.25]], [[0.0, 0.0], [0.75, 0.0]]],
+                       "H": rows})
+
+
+def test_parse_errors_name_field_and_index(tmp_path):
+    # (text, field, index, message); each defect must reach the per-cell walk
+    # that names it, whatever the one-piece conversion of the field made of it
+    cases = [
+        ('{"kind":"slh","n_inputs":1,"dim":1,'
+         '"S":[[[1,0]]],"L":[[[0,"x"]]],"H":[[[0,0]]]}', "L", (0, 0), _PAIRS),
+        ('{"kind":"slh","n_inputs":1,"dim":2,'
+         '"S":[[[1,0]]],"L":[[[0,0]]],"H":[[[0,0]]]}', "S", None,
+         "expected shape (2, 2), got (1, 1)"),
+        # np.array would turn this bool into 1.0 beside the floats
+        (_h2([[[0.5, 0.0], [True, 0.5]], [[0.0, 0.0], [1.5, 0.0]]]), "H", (0, 1), _PAIRS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0]], [["1", 0.0], [1.5, 0.0]]]), "H", (1, 0), _PAIRS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.5, None]]]), "H", (1, 1), _PAIRS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]), "H", (0, 1), _PAIRS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]), "H", 1, _ROWS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0]], []]), "H", 1, _ROWS),
+        (_h2([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 10 ** 400], [1.5, 0.0]]]), "H", (1, 0),
+         "entry exceeds the float range"),
+    ]
+    for text, field, index, message in cases:
+        with pytest.raises(modelfile.ModelFileError) as err:
+            modelfile.loads(text)
+        assert (err.value.field, err.value.index) == (field, index), text
+        assert str(err.value).endswith(f": {message}"), text
 
     with pytest.raises(modelfile.ModelFileError):
         modelfile.loads("not json at all")
@@ -132,10 +167,56 @@ def test_loads_fuzz_raises_only_slhkit_errors(data):
     assert isinstance(obj, (SLHModel, ScaledSLHFamily, StratonovichCoefficients))
 
 
+# float parts biased to the cases the writer and reader special-case: exact
+# and signed zeros, subnormals and the ends of the binary64 range
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -1e308, 1.0, -0.5]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_CELLS = st.one_of(st.just(0j), st.builds(complex, _PARTS, st.just(0.0)),
+                   st.builds(complex, st.just(-0.0), _PARTS), st.builds(complex, _PARTS, _PARTS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_model_files_byte_stable(data):
+    kind = data.draw(st.sampled_from(["slh", "family", "stratonovich"]))
+    n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 3))
+    cls, fields = modelfile._KINDS[kind]
+    mats = {key: data.draw(arrays(complex, modelfile._shape(key, n, m), elements=_CELLS))
+            for key in fields}
+    if kind == "family":
+        slow = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1,
+                                  unique=True))
+        obj = cls(**mats, partition=BlockPartition(dim=m, slow_indices=tuple(sorted(slow))))
+    elif kind == "slh":
+        labels = data.draw(st.none() | st.lists(st.sampled_from(["up", "true", "false"]),
+                                                min_size=m, max_size=m))
+        obj = cls(**mats, basis_labels=labels)
+    else:
+        obj = cls(**mats)
+    text = modelfile.dumps(obj)
+    back = modelfile.loads(text)
+    assert modelfile.dumps(back) == text
+    for key in fields:  # equal values; -0.0 reads back as 0.0
+        assert np.array_equal(getattr(back, key), getattr(obj, key))
+    # the one-piece conversion reads every field as the per-cell walk does
+    doc = json.loads(text)
+    for key in fields:
+        fast = modelfile._matrix_from_json(doc[key], key, may_hold_bools=False)
+        walked = modelfile._matrix_from_json(doc[key], key, may_hold_bools=True)
+        assert fast.dtype == walked.dtype and fast.tobytes() == walked.tobytes()
+
+
 def test_seventeen_digit_floats_round_trip():
     x = 0.1 + 0.2  # has a long binary tail
     text = modelfile._fmt(x)
     assert float(text) == x
+
+    # integers past 2^53 read as the nearest float, as float() rounds them
+    big = [2 ** 53 + 1, 2 ** 62 + 2 ** 9 + 1, 2 ** 63 - 1]
+    back = modelfile.loads(_h2([[[big[0], 0], [0, big[1]]], [[0, 0], [big[2], 0]]]))
+    assert back.H[0, 0] == float(big[0]) and back.H[0, 1] == 1j * float(big[1])
+    assert back.H[1, 1] == float(big[2])
 
 
 # ---------------------------------------------------------------------------
