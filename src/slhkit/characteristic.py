@@ -13,10 +13,11 @@ Single points go through a condition-guarded LU of (s - K).  A direct
 sweep instead factors K once, K = Z T Z* with T upper triangular (Laub's
 Schur-form frequency response, IEEE TAC 26(2), 1981), and solves each
 point against (s - T): one triangular solve per point, guarded by a LAPACK
-1-norm condition estimate of the triangular factor.  The Schur form is
-taken per strongly connected component of K's nonzero pattern, so entries
-that are exactly zero in every point's result stay exactly zero.  Every
-route refuses a condition estimate above ``operators.DEFAULT_COND_LIMIT``
+1-norm condition estimate of the triangular factor; a sweep that asks for
+a row/column selection of T(s) solves only for the selected columns.  The
+Schur form is taken per strongly connected component of K's nonzero
+pattern, so entries that are exactly zero in every point's result stay
+exactly zero.  Every route refuses a condition estimate above ``operators.DEFAULT_COND_LIMIT``
 (1e12); no evaluation route takes a limit of its own.
 """
 
@@ -67,8 +68,13 @@ def resolvent_solve(M, s, B=None) -> np.ndarray:
 
 def char_op(model: SLHModel, s) -> BlockOperatorMatrix:
     """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
-    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S)
-    return BlockOperatorMatrix(model.S - model.L @ X, model.dim)
+    return BlockOperatorMatrix(_char_op_entries(model, s), model.dim)
+
+
+def _char_op_entries(model: SLHModel, s, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """T(s)[rows][:, cols] = S[rows][:, cols] - L[rows] (s - K)^-1 (L* S)[:, cols]."""
+    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S[:, cols])
+    return model.S[rows][:, cols] - model.L[rows] @ X
 
 
 def sigma_kernel(model: SLHModel, s) -> BlockOperatorMatrix:
@@ -117,6 +123,24 @@ def unitarity_check(model: SLHModel, omega: float, tol: float = 1e-9):
     return r <= tol, r
 
 
+def _vacuum_indices(n_blocks: int, block_dim: int, dims, vacuum_modes) -> np.ndarray:
+    """Flat indices of the block rows (or columns) that <0|...|0> keeps.
+
+    Block by block, the kept tensor factors run in C order with every
+    factor in ``vacuum_modes`` held at 0; ShapeError when ``dims`` does not
+    factor ``block_dim`` or a vacuum mode is not one of its factors.
+    """
+    dims = tuple(int(d) for d in dims)
+    if int(np.prod(dims)) != block_dim:
+        raise ShapeError(f"product of dims {dims} must equal block dim {block_dim}")
+    nf = len(dims)
+    vacuum_modes = range(nf) if vacuum_modes is None else {int(i) for i in vacuum_modes}
+    if not all(0 <= v < nf for v in vacuum_modes):
+        raise ShapeError(f"vacuum_modes {sorted(vacuum_modes)} must lie in [0, {nf})")
+    idx = [0 if v in vacuum_modes else slice(None) for v in range(nf)]
+    return np.arange(n_blocks * block_dim).reshape(n_blocks, *dims)[(slice(None), *idx)].ravel()
+
+
 def vacuum_expectation(block_matrix: BlockOperatorMatrix, dims, vacuum_modes=None) -> np.ndarray:
     """Contract selected tensor factors of each plant block with the vacuum.
 
@@ -126,27 +150,19 @@ def vacuum_expectation(block_matrix: BlockOperatorMatrix, dims, vacuum_modes=Non
     scalar matrix when every factor is contracted, otherwise a block matrix
     of operators on the remaining factors.
     """
-    dims = tuple(int(d) for d in dims)
     m = block_matrix.block_dim
-    if int(np.prod(dims)) != m:
-        raise ShapeError(f"product of dims {dims} must equal block dim {m}")
-    nf = len(dims)
-    vacuum_modes = range(nf) if vacuum_modes is None else {int(i) for i in vacuum_modes}
-    if not all(0 <= v < nf for v in vacuum_modes):
-        raise ShapeError(f"vacuum_modes {sorted(vacuum_modes)} must lie in [0, {nf})")
-    mkeep = m // int(np.prod([dims[v] for v in vacuum_modes]))
-
-    nr, nc = block_matrix.n_blocks_row, block_matrix.n_blocks_col
-    idx = [slice(None)] * (2 * nf + 2)  # axes (row block, *dims, col block, *dims)
-    for v in vacuum_modes:
-        idx[1 + v] = idx[nf + 2 + v] = 0
-    T = block_matrix.data.reshape(nr, *dims, nc, *dims)
-    return np.array(T[tuple(idx)]).reshape(nr * mkeep, nc * mkeep)
+    rows = _vacuum_indices(block_matrix.n_blocks_row, m, dims, vacuum_modes)
+    cols = _vacuum_indices(block_matrix.n_blocks_col, m, dims, vacuum_modes)
+    return block_matrix.data[np.ix_(rows, cols)]
 
 
 def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None) -> np.ndarray:
-    """Vacuum matrix elements <0|T(s)_jk|0> of the characteristic operator."""
-    return vacuum_expectation(char_op(model, s), dims, vacuum_modes)
+    """Vacuum matrix elements <0|T(s)_jk|0> of the characteristic operator.
+
+    Only the kept rows and columns of T(s) are formed.
+    """
+    keep = _vacuum_indices(model.n_inputs, model.dim, dims, vacuum_modes)
+    return _char_op_entries(model, s, keep, keep)
 
 
 def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> BlockOperatorMatrix:
@@ -203,12 +219,17 @@ class SweepResult:
     """Per-point characteristic operators with per-point failure capture.
 
     ``values[i]`` is None exactly when point i failed; failures lists
-    (point, error message) pairs in grid order.
+    (point, error message) pairs in grid order.  A sweep over the whole
+    operator holds BlockOperatorMatrix values; one with a row/column
+    selection holds ``len(rows) x len(cols)`` arrays of T[rows][:, cols]
+    and records the selection in ``rows`` and ``cols`` (None: every index).
     """
 
     grid: FrequencyGrid
     values: tuple
     failures: tuple
+    rows: tuple | None = None
+    cols: tuple | None = None
 
     @property
     def n_failed(self) -> int:
@@ -216,7 +237,13 @@ class SweepResult:
 
     @cached_property
     def unitarity_residuals(self) -> tuple:
-        """max |T*T - I| per point, nan where the point failed; formed on first read."""
+        """max |T*T - I| per point, nan where the point failed; formed on first read.
+
+        ShapeError for a selected sweep: unitarity needs the whole square T.
+        """
+        if self.rows is not None or self.cols is not None:
+            raise ShapeError("unitarity residuals need the whole T(s); "
+                             "this sweep holds a row/column selection")
         return tuple(float("nan") if T is None
                      else max_abs(dagger(T.data) @ T.data - np.eye(T.data.shape[0]))
                      for T in self.values)
@@ -259,11 +286,17 @@ def _block_schur(K):
     return T, Z
 
 
-def _schur_char_op(model: SLHModel):
-    """s -> T(s) against one Schur factor of K: S - (L Z)(s - T)^-1 (Z* L* S)."""
+def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
+    """s -> T(s)[rows][:, cols] against one Schur factor of K.
+
+    T(s)[rows][:, cols] = S[rows][:, cols] - (L Z)[rows] (s - T)^-1 (Z* L* S)[:, cols],
+    so a point costs a triangular solve with one right-hand side per
+    selected column.  The default selection is the whole operator.
+    """
     T, Z = _block_schur(k_operator(model))
-    LZ = model.L @ Z
-    W = dagger(Z) @ (dagger(model.L) @ model.S)
+    LZ = model.L[rows] @ Z
+    W = dagger(Z) @ (dagger(model.L) @ model.S[:, cols])
+    S = model.S[rows][:, cols]
     I = np.eye(T.shape[0])
 
     def evaluate(s):
@@ -272,26 +305,50 @@ def _schur_char_op(model: SLHModel):
         with singular_at(s):
             guard_cond(1.0 / rcond if rcond > 0 else np.inf, DEFAULT_COND_LIMIT)
         X = scipy.linalg.solve_triangular(A, W, check_finite=False)
-        return BlockOperatorMatrix(model.S - LZ @ X, model.dim)
+        return S - LZ @ X
 
     return evaluate
 
 
-def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct") -> SweepResult:
+def _selection(indices, size: int, name: str):
+    """A sequence of indices into [0, size) as a tuple; None stays None."""
+    if indices is None:
+        return None
+    picked = np.asarray(indices).ravel()
+    if not (picked.size and picked.dtype.kind in "iu"
+            and 0 <= picked.min() and picked.max() < size):
+        raise ShapeError(f"{name} must be a nonempty selection of integers in [0, {size})")
+    return tuple(picked.tolist())
+
+
+def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct", *,
+          rows=None, cols=None) -> SweepResult:
     """Evaluate T over a grid; singular points are recorded, not fatal.
 
     ``method="direct"`` factors K once (see the module docstring); the
     all-pass and Stratonovich routes evaluate each point independently.
+    ``rows`` and ``cols`` select entries of the nm x nm operator (None:
+    all of them, in any order, repeats allowed); the direct route forms
+    only T(s)[rows][:, cols], the other routes slice their full result.
     """
     if method not in _SWEEP_METHODS:
         raise ShapeError(f"method must be one of {_SWEEP_METHODS}")
-    if method == "stratonovich":
-        coeffs = ito_to_stratonovich(model)
-        evaluate = lambda s: char_op_stratonovich(coeffs, s)
-    elif method == "allpass":
-        evaluate = lambda s: char_op_allpass(model, s)
+    nm = model.n_inputs * model.dim
+    rows, cols = _selection(rows, nm, "rows"), _selection(cols, nm, "cols")
+    pick_rows = slice(None) if rows is None else list(rows)
+    pick_cols = slice(None) if cols is None else list(cols)
+    selected = rows is not None or cols is not None
+    if method == "direct":
+        entries = _schur_char_op(model, pick_rows, pick_cols)
+        evaluate = entries if selected else (
+            lambda s: BlockOperatorMatrix(entries(s), model.dim))
     else:
-        evaluate = _schur_char_op(model)
+        if method == "stratonovich":
+            coeffs = ito_to_stratonovich(model)
+            full = lambda s: char_op_stratonovich(coeffs, s)
+        else:
+            full = lambda s: char_op_allpass(model, s)
+        evaluate = (lambda s: full(s).data[pick_rows][:, pick_cols]) if selected else full
 
     values = []
     failures = []
@@ -301,4 +358,5 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct") -> Sweep
         except SingularMatrix as exc:
             values.append(None)
             failures.append((float(point), str(exc)))
-    return SweepResult(grid=grid, values=tuple(values), failures=tuple(failures))
+    return SweepResult(grid=grid, values=tuple(values), failures=tuple(failures),
+                       rows=rows, cols=cols)

@@ -147,7 +147,8 @@ def cmd_check(path, tol):
 @click.option("--out", "out_path", default=None, help="CSV output path")
 @click.option("--plot", "plot_path", default=None, help="SVG output path")
 @click.option("--entry", "entry_spec", default="0,0",
-              help="row,col of the full-matrix entry traced in the plot")
+              help="row,col of the full-matrix entry traced in the plot; "
+                   "without --out only this entry is evaluated")
 def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry_spec):
     """Evaluate the characteristic operator over a point or a grid."""
     obj = _read(path)
@@ -173,6 +174,8 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
 
     if (s_point is None) == (sweep_spec is None):
         raise click.ClickException("give exactly one of --s or --sweep")
+    # a plot alone forms only its traced entry; a CSV needs every entry
+    selection = {"rows": [r], "cols": [c]} if plot_path and not out_path else {}
     if s_point is not None:
         # one arbitrary complex point, evaluated outside the grid machinery
         if plot_path:
@@ -207,7 +210,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             raise click.ClickException("--sweep min, max and max - min must be finite")
         try:
             grid = FrequencyGrid(axis=axis, points=np.linspace(lo, hi, count))
-            result = sweep(model, grid, method=method)
+            result = sweep(model, grid, method=method, **selection)
         except ShapeError as exc:
             raise click.ClickException(str(exc))
         except SlhkitError as exc:
@@ -228,8 +231,8 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             sys.exit(EXIT_IO)
         click.echo(f"wrote {out_path}")
     if plot_path:
-        vals = [v[r, c] if v is not None else complex("nan")
-                for v in matrices]
+        at = (0, 0) if selection else (r, c)
+        vals = [v[at] if v is not None else complex("nan") for v in matrices]
         _write_text(plot_path, svgplot.magnitude_phase_svg(
             grid_points, vals,
             x_label="omega" if axis == "imaginary" else "s"))

@@ -3,6 +3,7 @@ perturbation series, and the covariance/invariance properties."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from slhkit import (
@@ -220,6 +221,21 @@ def test_vacuum_expectation_rejects_modes_out_of_range(vacuum_modes):
     T = BlockOperatorMatrix(identity(12), 6)
     with pytest.raises(ShapeError, match=r"\[0, 2\)"):
         vacuum_expectation(T, (2, 3), vacuum_modes)
+    with pytest.raises(ShapeError, match=r"\[0, 2\)"):
+        vacuum_expectation_char(zoo.build("optomech", n_max_cavity=1, n_max_mirror=2),
+                                0.5, (2, 3), vacuum_modes)
+
+
+@pytest.mark.parametrize("vacuum_modes", [None, (0, 2), (1,), ()])
+def test_vacuum_expectation_char_forms_only_the_vacuum_entries(rng, vacuum_modes):
+    model = random_model(rng, 2, 12)
+    dims, s = (2, 3, 2), 0.3 + 0.8j
+    whole = vacuum_expectation(char_op(model, s), dims, vacuum_modes)
+    got = vacuum_expectation_char(model, s, dims, vacuum_modes)
+    assert got.shape == whole.shape
+    assert max_abs(got - whole) <= 1e-14 * max(1.0, max_abs(whole))
+    with pytest.raises(ShapeError, match="product of dims"):
+        vacuum_expectation_char(model, s, (2, 5), vacuum_modes)
 
 
 def test_perturbation_series_examples():
@@ -360,6 +376,68 @@ def test_direct_sweep_matches_pointwise_char_op_structured_models():
         assert [p for p, _ in res.failures] == [0.0]
 
 
+def _schur_reference(model, s):
+    """The whole T(s) by the unselected Schur-form expression, operation for operation."""
+    T, Z = _block_schur(k_operator(model))
+    W = dagger(Z) @ (dagger(model.L) @ model.S)
+    X = scipy.linalg.solve_triangular(s * np.eye(T.shape[0]) - T, W, check_finite=False)
+    return model.S - model.L @ Z @ X
+
+
+def _draw_selection(rng, nm):
+    """Unsorted, non-contiguous indices with at least one repeat."""
+    picked = rng.integers(0, nm, size=rng.integers(1, nm + 1)).tolist()
+    return picked + [picked[0]]
+
+
+def test_selected_sweep_matches_the_whole_sweep():
+    rng = np.random.default_rng(7301)
+    wide = FrequencyGrid(axis="imaginary", points=np.linspace(-3.0, 3.0, 13))  # hits s = 0
+    models = [random_model(rng, n, m) for n in (1, 2, 3) for m in (2, 3, 5)]
+    models += [zoo.build("optomech", gamma=1.0, delta=0.3, g=0.25,
+                         n_max_cavity=3, n_max_mirror=4), _cascade()]
+    for model in models:
+        nm = model.n_inputs * model.dim
+        whole = sweep(model, wide)
+        for s, value in zip(wide.s_values(), whole.values):
+            assert value is None or np.array_equal(value.data, _schur_reference(model, s))
+        for _ in range(3):
+            rows, cols = _draw_selection(rng, nm), _draw_selection(rng, nm)
+            part = sweep(model, wide, rows=rows, cols=cols)
+            assert part.rows == tuple(rows) and part.cols == tuple(cols)
+            assert part.failures == whole.failures
+            for T, got in zip(whole.values, part.values):
+                if T is None:
+                    assert got is None
+                    continue
+                assert got.shape == (len(rows), len(cols))
+                tol = 1e-14 * max(1.0, np.linalg.norm(T.data, 2))
+                assert max_abs(got - T.data[rows][:, cols]) <= tol
+            with pytest.raises(ShapeError, match="whole T"):
+                part.unitarity_residuals
+
+
+@pytest.mark.parametrize("method", ["allpass", "stratonovich"])
+def test_selected_sweep_slices_the_pointwise_routes(rng, method):
+    model = random_model(rng, 2, 3)
+    grid = FrequencyGrid(axis="imaginary", points=np.linspace(-2.0, 2.0, 5))
+    whole = sweep(model, grid, method=method)
+    part = sweep(model, grid, method=method, cols=[4, 0, 4])
+    assert part.rows is None and part.failures == whole.failures
+    for T, got in zip(whole.values, part.values):
+        assert np.array_equal(got, T.data[:, [4, 0, 4]])
+    with pytest.raises(ShapeError, match="whole T"):
+        part.unitarity_residuals
+
+
+@pytest.mark.parametrize("rows", [[], [2], [-1], [0.5], [[True]]])
+def test_sweep_refuses_a_selection_outside_the_operator(rows):
+    model = zoo.build("thermal_qubit")  # nm = 1 x 2
+    grid = FrequencyGrid(axis="imaginary", points=np.array([0.5]))
+    with pytest.raises(ShapeError, match=r"rows must be .* \[0, 2\)"):
+        sweep(model, grid, rows=rows)
+
+
 def test_block_schur_factors_each_component(rng):
     optomech = zoo.build("optomech", gamma=1.0, delta=0.4, g=0.3,
                          n_max_cavity=4, n_max_mirror=6)
@@ -389,6 +467,13 @@ def test_sweep_guard_flags_defective_eigenvalue_of_cascade():
     assert res.values[0] is None and res.values[1] is not None
     with pytest.raises(ResolventSingular) as info:
         _schur_char_op(model)(near)
+    assert info.value.cond_estimate > DEFAULT_COND_LIMIT
+    # the guard is the same when only one entry is formed
+    one = sweep(model, grid, rows=[2], cols=[2])
+    assert one.failures == res.failures
+    assert one.values[0] is None and one.values[1].shape == (1, 1)
+    with pytest.raises(ResolventSingular) as info:
+        _schur_char_op(model, [2], [2])(near)
     assert info.value.cond_estimate > DEFAULT_COND_LIMIT
 
 

@@ -489,17 +489,46 @@ def test_cli_eval_single_point_and_plot(runner, tmp_path):
     assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 2
 
 
+def _polylines(svg_path):
+    """(x, y) pixel pairs of each polyline in an SVG file."""
+    root = ET.fromstring(svg_path.read_text())
+    return [np.array([[float(v) for v in pair.split(",")]
+                      for pair in line.get("points").split()])
+            for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def test_cli_eval_plot_alone_traces_the_same_entry_as_plot_with_csv(runner, tmp_path):
+    path = _write_zoo(runner, tmp_path, "optomech", "n_max_cavity=3", "n_max_mirror=3")
+    alone, both = tmp_path / "alone.svg", tmp_path / "both.svg"
+    # the symmetric odd grid hits s = 0, an eigenvalue of K (plant vacuum)
+    args = ["eval", str(path), "--sweep", "-3:3:13", "--entry", "1,2"]
+    res_alone = runner.invoke(main, [*args, "--plot", str(alone)])
+    res_both = runner.invoke(main, [*args, "--plot", str(both),
+                                    "--out", str(tmp_path / "sweep.csv")])
+    assert res_alone.exit_code == res_both.exit_code == 0
+    first = "evaluated 13 point(s), 1 singular"
+    assert res_alone.output.splitlines()[0] == res_both.output.splitlines()[0] == first
+    lines_alone, lines_both = _polylines(alone), _polylines(both)
+    assert len(lines_alone) == len(lines_both) == 2
+    for a, b in zip(lines_alone, lines_both):
+        assert a.shape == b.shape == (12, 2)  # the gap at s = 0 in both
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert np.max(np.abs(a - b)) <= 0.01
+    gap = 48 + 6 * (640 - 2 * 48) / 12  # x pixel of omega = 0
+    assert not np.any(np.isclose(lines_alone[0][:, 0], gap))
+
+
 def test_cli_eval_bad_entry_refused_before_evaluation(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "thermal_qubit")
     out, svg = tmp_path / "sweep.csv", tmp_path / "trace.svg"
-    for entry, message in (("a", "--entry must be 'row,col'"),
-                           ("5,0", "--entry out of range for a 2x2 matrix")):
-        res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
-                                   "--out", str(out), "--plot", str(svg),
-                                   "--entry", entry])
-        assert res.exit_code == 1, entry
-        assert res.output.strip() == f"Error: {message}", entry
-        assert not out.exists() and not svg.exists(), entry
+    for outputs in (["--out", str(out), "--plot", str(svg)], ["--plot", str(svg)]):
+        for entry, message in (("a", "--entry must be 'row,col'"),
+                               ("5,0", "--entry out of range for a 2x2 matrix")):
+            res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
+                                       *outputs, "--entry", entry])
+            assert res.exit_code == 1, entry
+            assert res.output.strip() == f"Error: {message}", entry
+            assert not out.exists() and not svg.exists(), entry
 
 
 def test_cli_eval_non_hermitian_stratonovich_file_exits_one(runner, tmp_path):
