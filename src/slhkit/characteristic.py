@@ -297,10 +297,14 @@ def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
     LZ = model.L[rows] @ Z
     W = dagger(Z) @ (dagger(model.L) @ model.S[:, cols])
     S = model.S[rows][:, cols]
-    I = np.eye(T.shape[0])
+    # s - T in one array; T is upper triangular, so a point rewrites only the
+    # diagonal (ztrcon and solve_triangular read the upper triangle alone)
+    A = -T
+    d = np.arange(T.shape[0])
+    t = T[d, d]
 
     def evaluate(s):
-        A = s * I - T
+        A[d, d] = s - t
         rcond, _ = ztrcon(A, norm="1")
         with singular_at(s):
             guard_cond(1.0 / rcond if rcond > 0 else np.inf, DEFAULT_COND_LIMIT)

@@ -10,11 +10,17 @@ binary64 exactly, and emits keys in a fixed order so that write -> read ->
 write is byte stable.  It formats only the nonzero cells; a zero cell is the
 literal ``[0,0]``.
 
-The reader converts each matrix field in one piece: one ``np.array`` call,
-accepted only as a ``(rows, cols, 2)`` integer or float array.  The per-cell
-loop runs only when that conversion refuses a field, to name the defect
-(bool, string, null, non-pair cell, ragged row, number past the float range)
-at ``(i, j)``.
+The reader takes each matrix field straight from the file text.  The
+field's span (its value, made of brackets, commas, whitespace and number
+characters only) is swapped for a placeholder before ``json.loads`` parses
+the rest of the document.  The span is checked as a whole with array
+operations on its bytes, and only the cells that do not read ``[0,0]`` are
+parsed, as ``json.loads`` parses a number.  Anything that does not fit (other
+characters in a span, a key that appears twice or is spelled with escapes, a
+ragged row, a non-pair cell, a token that is not a JSON number, an integer
+past the float range) sends the whole text to ``json.loads`` and the
+per-cell walk, which names the defect (bool, string, null, non-pair cell,
+ragged row, number past the float range) at ``(i, j)``.
 
 Sweep results go to CSV with the header line
 
@@ -28,6 +34,7 @@ the error name in the status column.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -85,21 +92,8 @@ def _matrix_to_json(M: np.ndarray) -> str:
     return "[" + ",".join(f"[{row}]" for row in rows) + "]"
 
 
-def _matrix_from_json(obj, field: str, may_hold_bools: bool) -> np.ndarray:
-    if not may_hold_bools:
-        try:
-            a = np.array(obj)
-        except (ValueError, OverflowError):  # ragged rows; some numpy versions on huge ints
-            a = None
-        # A string gives a str dtype, and null or an integer beyond 64 bits an
-        # object dtype; a bool would become 1.0 or 0.0, hence the caller's guard.
-        if a is not None and a.ndim == 3 and a.shape[2] == 2 and a.dtype.kind in "iuf":
-            # a view, not re + 1j * im, which turns an infinite im into a nan re
-            return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
-    # The fast conversion refused the field: walk it cell by cell to name the
-    # defect at (i, j).  The only fields that pass this walk hold an integer
-    # beyond 64 bits but within the float range, or sit in a text that holds
-    # true or false anywhere.
+def _matrix_from_json(obj, field: str) -> np.ndarray:
+    """The per-cell walk: a parsed matrix field, or the defect at (i, j)."""
     if not isinstance(obj, list) or not obj:
         raise ModelFileError(field, "expected a nonempty list of rows")
     ncols = None
@@ -122,6 +116,101 @@ def _matrix_from_json(obj, field: str, may_hold_bools: bool) -> np.ndarray:
                                      index=(i, j)) from None
         data.append(out_row)
     return np.array(data, dtype=complex)
+
+
+# A matrix field as it sits in the text: its key, then a value made of JSON
+# whitespace, brackets, commas and the characters of JSON numbers only.
+_MATRIX_KEYS = sorted({key for _, fields in _KINDS.values() for key in fields})
+_SPAN = re.compile(r'"(%s)"[ \t\n\r]*:[ \t\n\r]*(\[[-+0-9.eE\[\], \t\n\r]*\])'
+                   % "|".join(_MATRIX_KEYS))
+# a whole run of number characters that is one JSON number; groups: fraction, exponent
+_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?(?![-+.0-9eE])")
+# byte -> its token class: n for a number character, brackets and commas as
+# themselves, 0 for whitespace
+_TOKEN = np.zeros(256, dtype=np.uint8)
+_TOKEN[list(b"-+.0123456789eE")] = ord("n")
+_TOKEN[list(b"[],")] = list(b"[],")
+
+
+def _json_number(buf: bytes, at: int):
+    """The number whose run starts at ``at``, as json.loads reads it."""
+    match = _NUMBER.match(buf, at)
+    if match is None:
+        raise ValueError("not a JSON number")
+    return float(match[0]) if match[1] or match[2] else int(match[0])
+
+
+def _matrix_from_text(span: str):
+    """A matrix field read from its text, or None where the span is anything
+    but a nonempty list of equal rows of [re, im] pairs of JSON numbers.
+
+    No Python object is made for a cell that reads exactly [0,0]; every
+    other cell is parsed as json.loads and the per-cell walk would read it.
+    """
+    buf = span.encode("ascii")  # the span pattern admits ASCII only
+    b = np.frombuffer(buf, dtype=np.uint8)
+    tokens = _TOKEN[b]
+    number = tokens == ord("n")
+    first = number.copy()  # first character of each run of number characters
+    first[1:] &= ~number[:-1]
+    # One n per run, so the skeleton of a rows x cols matrix is exactly
+    # [[[n,n],...,[n,n]],...] (whitespace inside a number splits its run).
+    skeleton = tokens[first | ((tokens != 0) & ~number)].tobytes()
+    cols = skeleton.find(b"]]") // 6
+    row = b"[" + b",".join([b"[n,n]"] * cols) + b"]"
+    rows = (len(skeleton) - 1) // (len(row) + 1)
+    if cols < 1 or skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    starts = np.flatnonzero(first)  # re, im, re, im, ... in cell order
+    zero = (b[starts] == ord("0")) & ~number[starts + 1]  # the run is the integer 0
+    nonzero = np.flatnonzero(~(zero[0::2] & zero[1::2]))
+    try:
+        values = [complex(_json_number(buf, re_at), _json_number(buf, im_at))
+                  for re_at, im_at in starts.reshape(-1, 2)[nonzero].tolist()]
+    except (ValueError, OverflowError):  # not a JSON number; past the float range
+        return None
+    out = np.zeros(rows * cols, dtype=complex)
+    out[nonzero] = values  # 1e400 reads as inf, as in the walk; the model refuses it
+    return out.reshape(rows, cols)
+
+
+def _text_document(text: str):
+    """The document with each matrix field read from its text, or None.
+
+    Each matrix span is swapped for a placeholder string and the rest of the
+    text goes to json.loads.  Anything that does not fit returns None: a
+    span that is not a plain matrix, a key that appears twice, or a
+    placeholder that does not end up as the value of its own key (a span
+    inside a string or a nested object, or a later escaped spelling of the
+    key).  The NUL in the placeholders cannot come from a text without a
+    \\u0000 escape.
+    """
+    if "\\u0000" in text:
+        return None
+    spans = {}
+    pieces = []
+    end = 0
+    for match in _SPAN.finditer(text):
+        key = match[1]
+        if key in spans:
+            return None
+        spans[key] = match[2]
+        pieces += (text[end:match.start(2)], f'"\\u0000{key}"')
+        end = match.end(2)
+    pieces.append(text[end:])
+    try:
+        doc = json.loads("".join(pieces))
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    for key, span in spans.items():
+        if doc.get(key) != "\0" + key:
+            return None
+        doc[key] = _matrix_from_text(span)
+        if doc[key] is None:
+            return None
+    return doc
 
 
 def dumps(obj) -> str:
@@ -147,10 +236,12 @@ def write_model(path, obj) -> None:
 
 def loads(text: str):
     """Parse a model file; returns SLHModel, ScaledSLHFamily, or coefficients."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError("document", f"not valid JSON: {exc}") from None
+    doc = _text_document(text)
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ModelFileError("document", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError("document", "top level must be an object")
     kind = doc.get("kind")
@@ -161,14 +252,12 @@ def loads(text: str):
             raise ModelFileError(field, "must be a positive integer")
     n, m = doc["n_inputs"], doc["dim"]
     cls, fields = _KINDS[kind]
-    # JSON spells every bool as the literal true or false, so a text without
-    # either holds no bool that np.array could silently turn into a number.
-    may_hold_bools = "true" in text or "false" in text
     mats = {}
     for key in fields:
         if key not in doc:
             raise ModelFileError(key, "matrix is missing")
-        mats[key] = _matrix_from_json(doc[key], key, may_hold_bools)
+        value = doc[key]
+        mats[key] = value if isinstance(value, np.ndarray) else _matrix_from_json(value, key)
         shape = _shape(key, n, m)
         if mats[key].shape != shape:
             raise ModelFileError(key, f"expected shape {shape}, got {mats[key].shape}")

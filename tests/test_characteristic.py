@@ -376,12 +376,12 @@ def test_direct_sweep_matches_pointwise_char_op_structured_models():
         assert [p for p, _ in res.failures] == [0.0]
 
 
-def _schur_reference(model, s):
-    """The whole T(s) by the unselected Schur-form expression, operation for operation."""
+def _schur_reference(model, s, rows=slice(None), cols=slice(None)):
+    """T(s)[rows][:, cols] by the Schur-form expression with a fresh s I - T."""
     T, Z = _block_schur(k_operator(model))
-    W = dagger(Z) @ (dagger(model.L) @ model.S)
+    W = dagger(Z) @ (dagger(model.L) @ model.S[:, cols])
     X = scipy.linalg.solve_triangular(s * np.eye(T.shape[0]) - T, W, check_finite=False)
-    return model.S - model.L @ Z @ X
+    return model.S[rows][:, cols] - (model.L[rows] @ Z) @ X
 
 
 def _draw_selection(rng, nm):
@@ -415,6 +415,30 @@ def test_selected_sweep_matches_the_whole_sweep():
                 assert max_abs(got - T.data[rows][:, cols]) <= tol
             with pytest.raises(ShapeError, match="whole T"):
                 part.unitarity_residuals
+
+
+def test_sweep_points_match_a_fresh_shifted_schur_factor():
+    # the evaluator rewrites the diagonal of one array per point; every point,
+    # the one after the singular point included, must equal the solve
+    # against a freshly formed s I - T
+    grid = FrequencyGrid(axis="imaginary", points=np.array([-2.5, -0.7, 0.0, 0.4, 1.5]))
+    models = [zoo.build("optomech", gamma=1.0, delta=0.3, g=0.25,
+                        n_max_cavity=4, n_max_mirror=5),
+              zoo.build("linear_passive", gamma=1.2, delta=-0.5, n_max=5),
+              zoo.build("thermal_qubit"), _cascade()]
+    for model in models:
+        nm = model.n_inputs * model.dim
+        rows, cols = [nm - 1, 0, nm - 1], [1, nm - 1]
+        whole = sweep(model, grid)
+        part = sweep(model, grid, rows=rows, cols=cols)
+        assert [p for p, _ in whole.failures] == [0.0]  # s = 0 is an eigenvalue of K
+        assert part.failures == whole.failures
+        for s, T, got in zip(grid.s_values(), whole.values, part.values):
+            if s == 0:
+                assert T is None and got is None
+                continue
+            assert np.array_equal(T.data, _schur_reference(model, s))
+            assert np.array_equal(got, _schur_reference(model, s, rows, cols))
 
 
 @pytest.mark.parametrize("method", ["allpass", "stratonovich"])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slhkit import (
+    BadParam,
     BlockPartition,
     FrequencyGrid,
     ScaledSLHFamily,
@@ -55,8 +56,7 @@ def test_basis_labels_round_trip(tmp_path):
     back = modelfile.read_model(path)
     assert back.basis_labels == ("up", "down")
 
-    # a label spelled like a JSON bool sends every field through the
-    # per-cell walk, which must read the same matrices
+    # labels spelled like JSON bools are strings, not matrix entries
     labeled = modelfile.loads(modelfile.dumps(
         SLHModel(S=model.S, L=model.L, H=model.H, basis_labels=("true", "false"))))
     assert labeled.basis_labels == ("true", "false")
@@ -176,35 +176,90 @@ _CELLS = st.one_of(st.just(0j), st.builds(complex, _PARTS, st.just(0.0)),
                    st.builds(complex, st.just(-0.0), _PARTS), st.builds(complex, _PARTS, _PARTS))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(data=st.data())
-def test_model_files_byte_stable(data):
-    kind = data.draw(st.sampled_from(["slh", "family", "stratonovich"]))
-    n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 3))
+@st.composite
+def _model_objects(draw):
+    """A random slh model, scaled family or coefficient set with _CELLS entries."""
+    kind = draw(st.sampled_from(["slh", "family", "stratonovich"]))
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     cls, fields = modelfile._KINDS[kind]
-    mats = {key: data.draw(arrays(complex, modelfile._shape(key, n, m), elements=_CELLS))
+    mats = {key: draw(arrays(complex, modelfile._shape(key, n, m), elements=_CELLS))
             for key in fields}
     if kind == "family":
-        slow = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1,
-                                  unique=True))
-        obj = cls(**mats, partition=BlockPartition(dim=m, slow_indices=tuple(sorted(slow))))
-    elif kind == "slh":
-        labels = data.draw(st.none() | st.lists(st.sampled_from(["up", "true", "false"]),
-                                                min_size=m, max_size=m))
-        obj = cls(**mats, basis_labels=labels)
-    else:
-        obj = cls(**mats)
+        slow = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1, unique=True))
+        return cls(**mats, partition=BlockPartition(dim=m, slow_indices=tuple(sorted(slow))))
+    if kind == "slh":
+        labels = draw(st.none() | st.lists(st.sampled_from(["up", "true", "false"]),
+                                           min_size=m, max_size=m))
+        return cls(**mats, basis_labels=labels)
+    return cls(**mats)
+
+
+def _fields(obj):
+    return next(fields for cls, fields in modelfile._KINDS.values() if isinstance(obj, cls))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(obj=_model_objects())
+def test_model_files_byte_stable(obj):
     text = modelfile.dumps(obj)
     back = modelfile.loads(text)
     assert modelfile.dumps(back) == text
-    for key in fields:  # equal values; -0.0 reads back as 0.0
+    for key in _fields(obj):  # equal values; -0.0 reads back as 0.0
         assert np.array_equal(getattr(back, key), getattr(obj, key))
-    # the one-piece conversion reads every field as the per-cell walk does
+    # the text route reads every field as the per-cell walk does
+    read = modelfile._text_document(text)
     doc = json.loads(text)
-    for key in fields:
-        fast = modelfile._matrix_from_json(doc[key], key, may_hold_bools=False)
-        walked = modelfile._matrix_from_json(doc[key], key, may_hold_bools=True)
-        assert fast.dtype == walked.dtype and fast.tobytes() == walked.tobytes()
+    for key in _fields(obj):
+        walked = modelfile._matrix_from_json(doc[key], key)
+        assert isinstance(read[key], np.ndarray)
+        assert read[key].dtype == walked.dtype and read[key].tobytes() == walked.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(obj=_model_objects(), data=st.data())
+def test_loads_reads_reformatted_text_alike(obj, data):
+    # the same document indented, and with its keys shuffled and json's own
+    # spacing and float spelling, reads to the same bytes by the text route
+    text = modelfile.dumps(obj)
+    doc = json.loads(text)
+    keys = data.draw(st.permutations(list(doc)))
+    texts = [text, json.dumps(doc, indent=1), json.dumps({key: doc[key] for key in keys})]
+    reads = [modelfile.loads(t) for t in texts]
+    for t in texts:
+        assert modelfile._text_document(t) is not None
+    for key in _fields(obj):
+        want = getattr(reads[0], key)
+        for back in reads[1:]:
+            assert getattr(back, key).tobytes() == want.tobytes()
+        walked = modelfile._matrix_from_json(json.loads(texts[2])[key], key)
+        assert walked.tobytes() == want.tobytes()
+
+
+def _h_text(h):
+    """An n = 1, m = 1 slh file text whose H field is the raw text ``h``."""
+    return '{"kind":"slh","n_inputs":1,"dim":1,"S":[[[1,0]]],"L":[[[0.5,0]]],"H":%s}' % h
+
+
+@pytest.mark.parametrize("h, expected, by_text", [
+    ("[[[-0,1]]]", complex(0.0, 1.0), True),  # JSON reads -0 as the integer 0
+    ("[[[-0.0,1]]]", complex(-0.0, 1.0), True),
+    ("[[[1E+2,-0e0]]]", complex(100.0, -0.0), True),
+    ("[[[%d,0]]]" % (2 ** 63 - 1), complex(float(2 ** 63 - 1), 0.0), True),
+    ('[[[1,0]]],"H":[[[2,0]]]', 2, False),  # a repeated key: json keeps the last
+    ('[[[1,0]]],"\\u0048":[[[3,0]]]', 3, False),  # the escaped key comes later
+])
+def test_text_route_reads_numbers_and_keys_as_json_does(h, expected, by_text):
+    text = _h_text(h)
+    H = modelfile.loads(text).H
+    walked = modelfile._matrix_from_json(json.loads(text)["H"], "H")
+    assert H.tobytes() == walked.tobytes() == np.array([[expected]], dtype=complex).tobytes()
+    assert (modelfile._text_document(text) is not None) == by_text
+
+
+@pytest.mark.parametrize("h", ["[[[1e400,0]]]", "[[[0,NaN]]]", "[[[-Infinity,0]]]"])
+def test_text_route_leaves_non_finite_entries_to_the_model_check(h):
+    with pytest.raises(BadParam, match="non-finite"):
+        modelfile.loads(_h_text(h))
 
 
 def test_seventeen_digit_floats_round_trip():
