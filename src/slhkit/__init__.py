@@ -28,7 +28,6 @@ from .operators import (
     is_hermitian,
     is_unitary,
     kron,
-    make_operator,
     max_abs,
     number,
     pauli,
@@ -99,9 +98,7 @@ from .adiabatic import (
     limit_char_op,
     limit_slh,
     scaled_resolvent_limit,
-    sigma_allpass_limit,
     slow_indices_from_kernel,
-    strat_adiabatic_limit,
 )
 from . import modelfile, svgplot, zoo
 

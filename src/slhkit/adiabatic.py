@@ -16,9 +16,7 @@ The slow-first permutation of the plant axis, the blocks A, Z, R and the
 structural residuals are derived once per family object and shared by every
 routine here; no other module reads a family's slow/fast layout.  The stacked
 input axis is never permuted and limit models are written back by slow index,
-so every limit comes back in the family's own order.  The Stratonovich
-cross-check :func:`strat_adiabatic_limit` converts (S, L0, H0) once; the Cayley
-identity (S + 1)^-1 = (1 + (i/2) Ell)/2 gives its k-dependent coefficients.
+so every limit comes back in the family's own order.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .operators import (
     solve,
 )
 from .reduction import BlockPartition, BlockedOperator, block_inverse, partition_operator
-from .stratonovich import ito_to_stratonovich
 
 STRUCT_TOL = 1e-9
 AFF_COND_LIMIT = 1e10
@@ -409,76 +406,6 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
                 f"decoupled limit is not block diagonal: residual {block_res:.3e}"
             )
     return ok, residual
-
-
-def sigma_allpass_limit(family: ScaledSLHFamily, s) -> np.ndarray:
-    """Limit of the scaled all-pass kernel Sigma_k(s) = L(k)(s + iH(k))^-1 L(k)*.
-
-    Valid as the true limit only when L0 = 0 (the k-linear coupling
-    dominates); requires the fast-fast block of H2 to be invertible.  The
-    limit is L1_f X_ff L1_f*, with X_ff the fast-fast block of the
-    scaled-resolvent limit of s + iH(k).  With
-    Htil_ss = H0_ss - H1_sf H2_ff^-1 H1_fs that block is
-
-        -i H2_ff^-1 + H2_ff^-1 H1_fs (s + i Htil_ss)^-1 H1_sf H2_ff^-1.
-    """
-    p = _require_structure(family)
-    sl, fa = p.sl, p.fa
-    with singular_at(s, "(s + i Htil_ss) not invertible"):
-        D = scaled_resolvent_limit(1j * p.H0[sl, sl], 1j * p.H1[sl, fa],
-                                   1j * p.H1[fa, sl], 1j * p.H2[fa, fa], s)
-    L1f = p.L1[:, fa]
-    return L1f @ D.X_ff @ dagger(L1f)
-
-
-def strat_adiabatic_limit(family: ScaledSLHFamily, s) -> np.ndarray:
-    """Adiabatic limit of T_k(s) through the Stratonovich form.
-
-    An independent route to :func:`limit_char_op` (InvalidFamily when the
-    block structure fails).  :func:`~slhkit.stratonovich.ito_to_stratonovich`
-    on (S, L0, H0) gives Ell, G0 and P0 (CayleySingular when S has an
-    eigenvalue at -1); with (S + 1)^-1 = (1 + (i/2) Ell)/2 the coefficients are
-
-        El0(k) = G0 + k G1,              G1 = -i (1 + (i/2) Ell) L1
-        E00(k) = P0 + k P1 + k^2 P2,     P1 = H1 + 1/4 (L1* Ell L0 + L0* Ell L1)
-                                         P2 = H2 + 1/4 L1* Ell L1
-
-    G1 has no slow columns.  Requires Ell to be block diagonal over the
-    partition and P2_ff to be invertible (AssumptionViolated otherwise).  It
-    raises ResolventSingular at poles of (s + i Ehat00_ss)^-1 that cancel in
-    (I - X)(I + X)^-1, where the limit is finite; limit_char_op evaluates
-    there.
-    """
-    p = _require_structure(family)
-    sl, fa = p.sl, p.fa
-    E0 = ito_to_stratonovich(SLHModel(S=p.S, L=p.L0, H=p.H0))
-    Ell = E0.Ell
-    cut = partition_operator(Ell, family.partition)
-    off = max(max_abs(cut.X_sf), max_abs(cut.X_fs))
-    if off > STRUCT_TOL:
-        raise AssumptionViolated(
-            f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
-        )
-
-    I = np.eye(Ell.shape[0], dtype=complex)
-    L1f = p.L1[:, fa]
-    G1f = -1j * (I + 0.5j * Ell) @ L1f
-    P2ff = p.H2[fa, fa] + 0.25 * dagger(L1f) @ Ell @ L1f
-    P2ff = 0.5 * (P2ff + dagger(P2ff))  # Hermitian, as in ito_to_stratonovich
-    P1 = p.H1 + 0.25 * (dagger(p.L1) @ Ell @ p.L0 + dagger(p.L0) @ Ell @ p.L1)
-    cond = condition_estimate(P2ff)
-    if not cond_ok(cond, AFF_COND_LIMIT):
-        raise AssumptionViolated(
-            f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"
-        )
-
-    with singular_at(s, "(s + i Ehat00_ss) not invertible"):
-        D = scaled_resolvent_limit(
-            1j * E0.E00[sl, sl], 1j * P1[sl, fa], 1j * P1[fa, sl], 1j * P2ff, s)
-    G = np.hstack([E0.El0[:, sl], G1f])  # columns ordered (slow, fast)
-    X = 0.5j * Ell + 0.5 * G @ np.block([[D.X_ss, D.X_sf], [D.X_fs, D.X_ff]]) @ dagger(G)
-    with singular_at(s, "(I + X(s)) not invertible"):
-        return (I - X) @ inverse(I + X)
 
 
 @dataclass(frozen=True)

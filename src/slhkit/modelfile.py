@@ -240,7 +240,7 @@ def loads(text: str):
     if doc is None:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ModelFileError("document", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError("document", "top level must be an object")

@@ -197,23 +197,3 @@ def projector(index_set, dim: int) -> np.ndarray:
     for i in idx:
         P[i, i] = 1.0
     return P
-
-
-def make_operator(kind: str, **params) -> np.ndarray:
-    """Dispatch constructor: pauli, annihilator, number, projector, identity.
-
-    The pauli flavor is passed as ``which`` (x|y|z|plus|minus).
-    """
-    builders = {
-        "pauli": lambda: pauli(params["which"]),
-        "annihilator": lambda: annihilator(int(params["n_max"])),
-        "number": lambda: number(int(params["n_max"])),
-        "projector": lambda: projector(params["index_set"], int(params["dim"])),
-        "identity": lambda: identity(int(params["dim"])),
-    }
-    if kind not in builders:
-        raise BadParam(f"unknown operator kind {kind!r}")
-    try:
-        return builders[kind]()
-    except KeyError as exc:
-        raise BadParam(f"missing parameter {exc} for operator kind {kind!r}") from None

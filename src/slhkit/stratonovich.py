@@ -24,8 +24,7 @@ is used here.)
 
 Besides the two maps, this module holds the Stratonovich-scaled family
 (E00 = k^2 F00, El0 = k Fl0) and its scattering limit.  It knows nothing of
-a slow/fast split: the Stratonovich route of an SLH family's adiabatic limit
-is :func:`slhkit.adiabatic.strat_adiabatic_limit`.
+a slow/fast split.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from slhkit import (
     number,
     pauli,
     scaled_resolvent_limit,
-    sigma_allpass_limit,
     slow_indices_from_kernel,
     validate,
 )
@@ -384,63 +383,6 @@ def test_limit_slh_writes_back_by_slow_index(rng):
         assert np.all(limit.Hhat[outside] == 0)
         assert np.all(limit.Hhat[np.ix_(slow, slow)] != 0)
     assert {n for n, slow in splits if slow != (0, 1)} == {1, 2}
-
-
-def test_sigma_allpass_limit_cases(rng):
-    ms, mf = 2, 2
-    m = ms + mf
-    part = BlockPartition(dim=m, slow_indices=(0, 1))
-    H2 = np.zeros((m, m), dtype=complex)
-    H2[ms:, ms:] = random_hermitian(rng, mf) + 2 * identity(mf)
-    H2ff_inv = inverse(H2[ms:, ms:])
-
-    # no k-linear coupling: the limit kernel vanishes
-    fam0 = ScaledSLHFamily(S=identity(m), L0=random_complex(rng, m, m),
-                           L1=np.zeros((m, m)), H0=np.zeros((m, m)),
-                           H1=np.zeros((m, m)), H2=H2, partition=part)
-    assert max_abs(sigma_allpass_limit(fam0, 1.0)) == 0.0
-
-    # H1 = 0: the limit is -i L1_f H2_ff^-1 L1_f*
-    L1 = np.zeros((m, m), dtype=complex)
-    L1[:, ms:] = random_complex(rng, m, mf)
-    fam1 = ScaledSLHFamily(S=identity(m), L0=np.zeros((m, m)), L1=L1,
-                           H0=np.zeros((m, m)), H1=np.zeros((m, m)), H2=H2,
-                           partition=part)
-    want = -1j * L1[:, ms:] @ H2ff_inv @ dagger(L1[:, ms:])
-    assert max_abs(sigma_allpass_limit(fam1, 0.7) - want) <= 1e-12
-
-
-def test_sigma_allpass_limit_finite_k_oracle(rng):
-    # pure k-linear coupling family: the printed sandwich is the true limit
-    ms, mf = 2, 2
-    m = ms + mf
-    part = BlockPartition(dim=m, slow_indices=(0, 1))
-    L1 = np.zeros((m, m), dtype=complex)
-    L1[:, ms:] = random_complex(rng, m, mf)
-    H1 = random_hermitian(rng, m)
-    H1[:ms, :ms] = 0.0
-    H0 = np.zeros((m, m), dtype=complex)
-    H0[:ms, :ms] = random_hermitian(rng, ms)
-    H2 = np.zeros((m, m), dtype=complex)
-    H2[ms:, ms:] = random_hermitian(rng, mf) + 2 * identity(mf)
-    fam = ScaledSLHFamily(S=identity(m), L0=np.zeros((m, m)), L1=L1,
-                          H0=H0, H1=H1, H2=H2, partition=part)
-    s = 1.0 + 0.3j
-    Sig_hat = sigma_allpass_limit(fam, s)
-    k = 1e4
-    Lk = k * L1
-    Hk = H0 + k * H1 + k * k * H2
-    Sig_k = Lk @ inverse(s * identity(m) + 1j * Hk) @ dagger(Lk)
-    assert max_abs(Sig_k - Sig_hat) <= 1e-3
-
-    # two inputs and a non-contiguous split: the stacked rows keep their order
-    fam = random_family(rng, 2, 2, 2, slow=(1, 3))
-    fam = dataclasses.replace(fam, S=identity(2 * m), L0=np.zeros((2 * m, m)))
-    Sig_hat = sigma_allpass_limit(fam, s)
-    Lk = k * fam.L1
-    Hk = fam.H0 + k * fam.H1 + k * k * fam.H2
-    Sig_k = Lk @ inverse(s * identity(m) + 1j * Hk) @ dagger(Lk)
-    assert max_abs(Sig_k - Sig_hat) <= 1e-3
 
 
 def test_convergence_study_slopes_and_short_lists():

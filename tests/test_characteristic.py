@@ -33,8 +33,6 @@ from slhkit import (
     coefficients_from_parts,
     schur_feshbach,
     series_product,
-    sigma_allpass_limit,
-    strat_adiabatic_limit,
     sweep,
     transfer_function,
     unitarity_check,
@@ -45,6 +43,7 @@ from slhkit import zoo
 from slhkit.characteristic import _block_schur, _schur_char_op
 from slhkit.operators import DEFAULT_COND_LIMIT
 from conftest import random_model, random_unitary
+from oracles import strat_adiabatic_limit
 
 
 def test_char_op_lossless_is_constant_scattering(rng):
@@ -528,7 +527,6 @@ _SINGULAR_ROUTES = {
     # the Stratonovich slow resolvent has its own pole at the shifted frequency 0
     "strat_adiabatic_limit_slow_resolvent": (
         lambda s: strat_adiabatic_limit(_FAMILY, s), 0j),
-    "sigma_allpass_limit": (lambda s: sigma_allpass_limit(_FAMILY, s), 0j),
     "direct_sweep_point": (
         lambda s: _schur_char_op(_CAVITY)(s), _CAVITY_POLE),
 }

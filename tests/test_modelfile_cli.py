@@ -414,7 +414,7 @@ def test_cli_non_string_kind_exits_one(runner, tmp_path, kind):
 
 @pytest.mark.parametrize("command", ["check", "limit"])
 @pytest.mark.parametrize("defect", ["nan_entry", "duplicate_slow_indices",
-                                    "huge_int_entry", "bool_entry",
+                                    "huge_int_entry", "digit_limit_entry", "bool_entry",
                                     "bool_n_inputs", "bool_slow_index"])
 def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
     path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=2")
@@ -426,6 +426,10 @@ def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
         doc["slow_indices"] = [0, 0]
     elif defect == "huge_int_entry":
         doc["H0"][0][0] = [10 ** 400, 0]  # past the float range
+    elif defect == "digit_limit_entry":
+        # 5,001 digits, past Python's integer-string limit of 4,300: there
+        # json.loads raises a plain ValueError, not a JSONDecodeError
+        doc["H0"][0][0] = ["DIGITS", 0]
     elif defect == "bool_entry":
         doc["H0"][0][0] = [True, 0.0]
     elif defect == "bool_n_inputs":
@@ -433,7 +437,7 @@ def test_cli_invalid_family_file_exits_one(runner, tmp_path, command, defect):
     else:
         doc["slow_indices"] = [False, 3]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace('"DIGITS"', "1" + "0" * 5000))
     res = runner.invoke(main, [command, str(bad)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)  # not an escaped BadParam

@@ -14,7 +14,6 @@ from slhkit import (
     is_hermitian,
     is_unitary,
     kron,
-    make_operator,
     max_abs,
     number,
     pauli,
@@ -130,14 +129,6 @@ def test_projector_and_param_errors():
         projector([3], 3)
     with pytest.raises(BadParam):
         annihilator(0)
-
-
-def test_make_operator_dispatch():
-    assert np.array_equal(make_operator("identity", dim=2), identity(2))
-    assert np.array_equal(make_operator("pauli", which="y"), pauli("y"))
-    assert np.array_equal(make_operator("number", n_max=2), number(2))
-    with pytest.raises(BadParam):
-        make_operator("hadamard")
 
 
 def test_checks_with_residual_report():

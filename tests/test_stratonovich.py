@@ -26,13 +26,13 @@ from slhkit import (
     k_operator,
     limit_char_op,
     max_abs,
-    strat_adiabatic_limit,
     strat_scaling_limit,
     stratonovich_to_ito,
 )
 from slhkit import operators, zoo
 from conftest import (random_complex, random_family, random_hermitian, random_model,
                       random_unitary)
+from oracles import strat_adiabatic_limit
 
 
 def test_zero_coefficients_map_to_trivial_model():
