@@ -22,14 +22,14 @@ so every limit comes back in the family's own order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .characteristic import char_op, singular_at
 from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
-from .model import BlockOperatorMatrix, SLHModel
+from .model import BlockOperatorMatrix, SLHModel, _check_fields
 from .operators import (
     as_matrix,
     cond_ok,
@@ -53,6 +53,8 @@ AFF_COND_WARN = 1e8
 class ScaledSLHFamily:
     """k-parametrized triple (S, k L1 + L0, H0 + k H1 + k^2 H2) with a split."""
 
+    MATRIX_FIELDS = ("S", "L0", "L1", "H0", "H1", "H2")
+
     S: np.ndarray
     L0: np.ndarray
     L1: np.ndarray
@@ -60,36 +62,13 @@ class ScaledSLHFamily:
     H1: np.ndarray
     H2: np.ndarray
     partition: BlockPartition
+    n_inputs: int = field(init=False)
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        S = as_matrix(self.S, "S")
-        L0 = as_matrix(self.L0, "L0")
-        L1 = as_matrix(self.L1, "L1")
-        H0 = as_matrix(self.H0, "H0")
-        H1 = as_matrix(self.H1, "H1")
-        H2 = as_matrix(self.H2, "H2")
-        m = H0.shape[0]
-        for name, M in (("H0", H0), ("H1", H1), ("H2", H2)):
-            if M.shape != (m, m):
-                raise ShapeError(f"{name} must be {m} x {m}")
-        if L0.shape != L1.shape or L0.shape[1] != m or L0.shape[0] % m != 0:
-            raise ShapeError("L0 and L1 must both be (n*m) x m")
-        n = L0.shape[0] // m
-        if S.shape != (n * m, n * m):
-            raise ShapeError(f"S must be {n * m} x {n * m}")
-        if self.partition.dim != m:
+        _check_fields(self)
+        if self.partition.dim != self.dim:
             raise ShapeError("partition dim must equal the plant dim")
-        for name, M in (("S", S), ("L0", L0), ("L1", L1),
-                        ("H0", H0), ("H1", H1), ("H2", H2)):
-            object.__setattr__(self, name, M)
-
-    @property
-    def dim(self) -> int:
-        return self.H0.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.L0.shape[0] // self.dim
 
     @cached_property
     def _slow_first(self) -> _SlowFirst:

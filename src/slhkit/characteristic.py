@@ -39,6 +39,7 @@ from .operators import (
     dagger,
     guard_cond,
     inverse,
+    is_unitary,
     max_abs,
     solve,
 )
@@ -244,8 +245,7 @@ class SweepResult:
         if self.rows is not None or self.cols is not None:
             raise ShapeError("unitarity residuals need the whole T(s); "
                              "this sweep holds a row/column selection")
-        return tuple(float("nan") if T is None
-                     else max_abs(dagger(T.data) @ T.data - np.eye(T.data.shape[0]))
+        return tuple(float("nan") if T is None else is_unitary(T.data)[1]
                      for T in self.values)
 
 

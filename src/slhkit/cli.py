@@ -38,7 +38,8 @@ EXIT_IO = 3
 
 
 def _resolve_tol(tol) -> float:
-    """--tol when given, else SLHKIT_TOL, else 1e-9; refused unless finite and >= 0."""
+    """--tol when given, else SLHKIT_TOL, else 1e-9, both parsed here; refused
+    unless a finite number >= 0."""
     source, raw = "--tol", tol
     if tol is None:
         source, raw = "SLHKIT_TOL", os.environ.get("SLHKIT_TOL", "1e-9")
@@ -95,7 +96,7 @@ def main():
 
 @main.command("check")
 @click.argument("path")
-@click.option("--tol", type=float, default=None, help="validation tolerance")
+@click.option("--tol", default=None, help="validation tolerance")
 def cmd_check(path, tol):
     """Validate a model file; families also get an assumption report."""
     tol = _resolve_tol(tol)
@@ -257,7 +258,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
                    "convergence study; the study checks the family at the "
                    "default tolerance 1e-9, whatever --tol is")
 @click.option("--s", "s_point", default="1,0", help="evaluation point 're,im'")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", default=None,
               help="tolerance of the assumption report and the limit model")
 def cmd_limit(path, emit_path, study_spec, s_point, tol):
     """Assumption report, limit model, decoupling verdict for a family file."""

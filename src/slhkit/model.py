@@ -8,6 +8,14 @@ An SLH model on an m-dimensional plant with n inputs stores
 
 The effective (non-Hermitian) generator is K = -1/2 sum_i L_i* L_i - i H,
 and the model matrix collects all coefficients into one block matrix.
+
+The same two numbers size every kind of object in the package: a field is
+nm or m rows by nm or m columns (:func:`field_shape`).  SLH triples, scaled
+families and both Stratonovich kinds list their matrix fields once, as
+``MATRIX_FIELDS``, and check them in their constructors with one helper,
+which also sets their ``n_inputs`` and ``dim``; the model-file reader checks
+a file's fields against the same rule.  Empty matrices are refused with
+ShapeError.
 """
 
 from __future__ import annotations
@@ -93,41 +101,66 @@ class HeisenbergCoefficients:
     gauge: tuple  # tuple of tuples, n x n
 
 
+# The one field-shape rule, for every kind: n*m rows for a field that stacks
+# the n inputs, n*m columns for one that spans them, m for every other axis.
+_NM_ROWS = frozenset({"S", "L", "L0", "L1", "El0", "Ell", "Fl0", "Fll"})
+_NM_COLS = frozenset({"S", "E0l", "Ell", "Fll"})
+
+
+def field_shape(field: str, n: int, m: int) -> tuple:
+    """Declared shape of a matrix field for n inputs and m plant states."""
+    return (n * m if field in _NM_ROWS else m, n * m if field in _NM_COLS else m)
+
+
+def _check_fields(obj) -> None:
+    """Coerce the ``MATRIX_FIELDS`` of a frozen dataclass with as_matrix,
+    check them against :func:`field_shape` and store them back, with the
+    object's ``n_inputs`` and ``dim``.
+
+    m is the row count of the first plant-row field and n*m that of the
+    first stacked field.  ShapeError unless n*m is a positive multiple of
+    m >= 1, and ShapeError naming the first field not of its declared shape.
+    """
+    mats = {name: as_matrix(getattr(obj, name), name) for name in obj.MATRIX_FIELDS}
+    plant = next(name for name in mats if name not in _NM_ROWS)
+    stacked = next(name for name in mats if name in _NM_ROWS)
+    m, nm = mats[plant].shape[0], mats[stacked].shape[0]
+    if m < 1 or nm < m or nm % m:
+        raise ShapeError(
+            f"{stacked} has shape {mats[stacked].shape} and {plant} has shape "
+            f"{mats[plant].shape}; the rows of {stacked} must be n*m for "
+            f"n >= 1 inputs and m >= 1 plant states"
+        )
+    n = nm // m
+    for name, M in mats.items():
+        want = field_shape(name, n, m)
+        if M.shape != want:
+            raise ShapeError(
+                f"{name} must have shape {want} for n = {n}, m = {m}, got {M.shape}"
+            )
+        object.__setattr__(obj, name, M)
+    object.__setattr__(obj, "n_inputs", n)
+    object.__setattr__(obj, "dim", m)
+
+
 @dataclass(frozen=True)
 class SLHModel:
     """Validated-shape SLH triple; unitarity/Hermiticity checked via validate()."""
 
+    MATRIX_FIELDS = ("S", "L", "H")
+
     S: np.ndarray
     L: np.ndarray
     H: np.ndarray
-    n_inputs: int = field(default=0)
-    dim: int = field(default=0)
+    n_inputs: int = field(init=False)
+    dim: int = field(init=False)
     basis_labels: tuple | None = None
 
     def __post_init__(self):
-        S = as_matrix(self.S, "S")
-        L = as_matrix(self.L, "L")
-        H = as_matrix(self.H, "H")
-        m = H.shape[0]
-        if H.shape != (m, m):
-            raise ShapeError(f"H must be square, got {H.shape}")
-        if L.shape[1] != m or L.shape[0] % m != 0:
-            raise ShapeError(
-                f"L must be (n*m) x m with m = {m}, got {L.shape}"
-            )
-        n = L.shape[0] // m
-        if S.shape != (n * m, n * m):
-            raise ShapeError(
-                f"S must be {n * m} x {n * m} for n = {n}, m = {m}, got {S.shape}"
-            )
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "n_inputs", n)
-        object.__setattr__(self, "dim", m)
+        _check_fields(self)
         if self.basis_labels is not None:
             labels = tuple(str(x) for x in self.basis_labels)
-            if len(labels) != m:
+            if len(labels) != self.dim:
                 raise ShapeError("basis_labels length must equal dim")
             object.__setattr__(self, "basis_labels", labels)
 

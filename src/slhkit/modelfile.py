@@ -2,9 +2,10 @@
 
 Models, scaled families and Stratonovich coefficients share one JSON
 container with complex entries stored as two-element arrays [re, im].  The
-table ``_KINDS`` names, for each ``kind`` string, the class and its matrix
-fields in file order; ``_shape`` gives each field's declared shape from
-``n_inputs`` and ``dim``, and both ``dumps`` and ``loads`` run off them.  The
+table ``_KINDS`` names, for each ``kind`` string, the class and its
+``MATRIX_FIELDS`` in file order; ``model.field_shape``, the package's one
+shape rule, gives each field's declared shape from ``n_inputs`` and
+``dim``, and both ``dumps`` and ``loads`` run off them.  The
 writer renders every float with 17 significant digits, which round-trips
 binary64 exactly, and emits keys in a fixed order so that write -> read ->
 write is byte stable.  It formats only the nonzero cells; a zero cell is the
@@ -40,25 +41,16 @@ import numpy as np
 
 from .adiabatic import ScaledSLHFamily
 from .errors import SlhkitError
-from .model import BlockOperatorMatrix, SLHModel
+from .model import BlockOperatorMatrix, SLHModel, field_shape
 from .reduction import BlockPartition
 from .stratonovich import StratonovichCoefficients
 
 SWEEP_HEADER = "s_re,s_im,block_row,block_col,entry_row,entry_col,re,im,status"
 
-# kind -> (class, matrix fields in file order); every class has n_inputs and dim
-_KINDS = {
-    "slh": (SLHModel, ("S", "L", "H")),
-    "family": (ScaledSLHFamily, ("S", "L0", "L1", "H0", "H1", "H2")),
-    "stratonovich": (StratonovichCoefficients, ("E00", "E0l", "El0", "Ell")),
-}
-_NM_ROWS = {"S", "Ell", "L", "L0", "L1", "El0"}
-_NM_COLS = {"S", "Ell", "E0l"}
-
-
-def _shape(field: str, n: int, m: int) -> tuple:
-    """Declared shape of a matrix field for n inputs and m plant states."""
-    return (n * m if field in _NM_ROWS else m, n * m if field in _NM_COLS else m)
+# kind -> (class, its matrix fields in file order)
+_KINDS = {kind: (cls, cls.MATRIX_FIELDS) for kind, cls in (
+    ("slh", SLHModel), ("family", ScaledSLHFamily),
+    ("stratonovich", StratonovichCoefficients))}
 
 
 class ModelFileError(SlhkitError, ValueError):
@@ -258,7 +250,7 @@ def loads(text: str):
             raise ModelFileError(key, "matrix is missing")
         value = doc[key]
         mats[key] = value if isinstance(value, np.ndarray) else _matrix_from_json(value, key)
-        shape = _shape(key, n, m)
+        shape = field_shape(key, n, m)
         if mats[key].shape != shape:
             raise ModelFileError(key, f"expected shape {shape}, got {mats[key].shape}")
     if kind == "slh":

@@ -29,12 +29,12 @@ a slow/fast split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CayleySingular, InvalidCoefficients, ShapeError, SingularMatrix
-from .model import SLHModel
+from .errors import CayleySingular, InvalidCoefficients, SingularMatrix
+from .model import SLHModel, _check_fields
 from .operators import as_matrix, dagger, imag_part, inverse, max_abs
 
 STRAT_TOL = 1e-9
@@ -44,34 +44,17 @@ STRAT_TOL = 1e-9
 class StratonovichCoefficients:
     """Hermitian coefficient matrix of the Stratonovich-form QSDE."""
 
+    MATRIX_FIELDS = ("E00", "E0l", "El0", "Ell")
+
     E00: np.ndarray
     E0l: np.ndarray
     El0: np.ndarray
     Ell: np.ndarray
+    n_inputs: int = field(init=False)
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        E00 = as_matrix(self.E00, "E00")
-        E0l = as_matrix(self.E0l, "E0l")
-        El0 = as_matrix(self.El0, "El0")
-        Ell = as_matrix(self.Ell, "Ell")
-        m = E00.shape[0]
-        nm = Ell.shape[0]
-        if E00.shape != (m, m) or Ell.shape != (nm, nm):
-            raise ShapeError("E00 and Ell must be square")
-        if El0.shape != (nm, m) or E0l.shape != (m, nm):
-            raise ShapeError("El0 must be nm x m and E0l must be m x nm")
-        if nm % m != 0:
-            raise ShapeError("Ell dimension must be a multiple of dim")
-        for name, val in (("E00", E00), ("E0l", E0l), ("El0", El0), ("Ell", Ell)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def dim(self) -> int:
-        return self.E00.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.Ell.shape[0] // self.dim
+        _check_fields(self)
 
     def hermiticity_residual(self) -> float:
         return max(
@@ -152,23 +135,20 @@ class StratScaledFamily:
     hold; a linear-in-k drift produces a different, F00-independent limit.)
     """
 
+    MATRIX_FIELDS = ("F00", "Fl0", "Fll")
+
     F00: np.ndarray
     Fl0: np.ndarray
     Fll: np.ndarray
+    n_inputs: int = field(init=False)
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        F00 = as_matrix(self.F00, "F00")
-        Fl0 = as_matrix(self.Fl0, "Fl0")
-        Fll = as_matrix(self.Fll, "Fll")
-        if max_abs(F00 - dagger(F00)) > STRAT_TOL:
+        _check_fields(self)
+        if max_abs(self.F00 - dagger(self.F00)) > STRAT_TOL:
             raise InvalidCoefficients("F00 must be Hermitian")
-        if max_abs(Fll - dagger(Fll)) > STRAT_TOL:
+        if max_abs(self.Fll - dagger(self.Fll)) > STRAT_TOL:
             raise InvalidCoefficients("Fll must be Hermitian")
-        if Fl0.shape != (Fll.shape[0], F00.shape[0]):
-            raise ShapeError("Fl0 must be nm x m")
-        object.__setattr__(self, "F00", F00)
-        object.__setattr__(self, "Fl0", Fl0)
-        object.__setattr__(self, "Fll", Fll)
 
     def coefficients_at(self, k: float) -> StratonovichCoefficients:
         return coefficients_from_parts(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import ScaledSLHFamily, slow_indices_from_kernel
+from .adiabatic import ScaledSLHFamily
 from .errors import BadParam, NoClosedForm
 from .model import LinearPassiveSpec, SLHModel, realize_passive
 from .operators import annihilator, dagger, identity, kron, number, pauli
@@ -315,7 +315,8 @@ def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=
     """Levels ordered (g1, g2, e); plant space is level (x) cavity mode.
 
     The slow subspace defaults to the kernel of the fast generator, which is
-    span{|g1, 0>, |g2, 0>} at every cutoff; pass ``slow_indices`` to override.
+    span{|g1, 0>, |g2, 0>} = indices (0, n_max + 1) at every cutoff (what
+    ``slow_indices_from_kernel`` finds); pass ``slow_indices`` to override.
     """
     gamma = _positive(gamma, "gamma")
     gcoh = _positive(g, "g")
@@ -336,7 +337,7 @@ def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=
     H1 = 1j * (alpha * kron(lv(2, 1), Im) - np.conj(alpha) * kron(lv(1, 2), Im))
     m = 3 * d
     if slow_indices is None:
-        slow_indices = slow_indices_from_kernel(L1, H2)
+        slow_indices = (0, d)
     return ScaledSLHFamily(
         S=identity(m), L0=np.zeros((m, m), dtype=complex), L1=L1,
         H0=np.zeros((m, m), dtype=complex), H1=H1, H2=H2,

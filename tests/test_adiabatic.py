@@ -479,6 +479,15 @@ def test_limit_consistency_on_random_families(rng):
 def test_slow_indices_from_kernel_examples(rng):
     lam = zoo.build("lambda_system", gamma=1.0, alpha=0.4, g=0.8, n_max=4)
     assert lam.partition.slow_indices == (0, 5)
+    # the zoo families state their splits; the kernel of the fast generator agrees
+    for name, params in [("lambda_system", dict(gamma=1.0, alpha=0.4, g=0.8, n_max=4)),
+                         ("lambda_system", dict(gamma=0.3, alpha=0.7 - 0.2j, g=2.5, n_max=2)),
+                         ("lambda_system", dict(gamma=2.2, alpha=-0.1j, g=0.4, n_max=9)),
+                         ("lambda_system", {}),
+                         ("kerr_qubit", dict(chi0=0.6, n_max=5)),
+                         ("detuned_two_level", {})]:
+        fam = zoo.build(name, **params)
+        assert slow_indices_from_kernel(fam.L1, fam.H2) == fam.partition.slow_indices
 
     # kerr: kernel of -i chi0 N(N-1) is span{|0>, |1>}
     n_max = 6

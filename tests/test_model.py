@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from slhkit import (
+    BlockPartition,
     LinearPassiveSpec,
     SLHModel,
+    ScaledSLHFamily,
     ShapeError,
+    StratonovichCoefficients,
+    StratScaledFamily,
     abcd,
     annihilator,
     dagger,
@@ -27,11 +31,60 @@ from slhkit import (
     validate,
 )
 from slhkit import zoo
+from slhkit.model import field_shape
 from conftest import random_model, random_unitary
 
 
 def _identity_model(n=1, m=2):
     return SLHModel(S=identity(n * m), L=np.zeros((n * m, m)), H=np.zeros((m, m)))
+
+
+# Every kind with its non-matrix arguments (for m = 3), its first plant-row
+# field (which fixes m) and its first stacked field (which fixes n*m).
+_KIND_TABLE = [
+    (SLHModel, {}, "H", "S"),
+    (ScaledSLHFamily, {"partition": BlockPartition(dim=3, slow_indices=(0,))}, "H0", "S"),
+    (StratonovichCoefficients, {}, "E00", "El0"),
+    (StratScaledFamily, {}, "F00", "Fl0"),
+]
+
+
+def _kind_fields(cls, n=2, m=3):
+    """Matrix fields of the declared shapes; square ones symmetric, so Hermitian."""
+    fields = {}
+    for name in cls.MATRIX_FIELDS:
+        rows, cols = field_shape(name, n, m)
+        M = np.arange(rows * cols, dtype=float).reshape(rows, cols)
+        fields[name] = M + M.T if rows == cols else M
+    return fields
+
+
+@pytest.mark.parametrize("cls,extra,plant,stacked", _KIND_TABLE)
+def test_constructors_check_fields_against_the_one_shape_rule(cls, extra, plant, stacked):
+    fields = _kind_fields(cls)
+    obj = cls(**fields, **extra)
+    assert (obj.n_inputs, obj.dim) == (2, 3)
+    for name, M in fields.items():
+        stored = getattr(obj, name)
+        assert stored.dtype == complex and np.array_equal(stored, M)
+        assert not stored.flags.writeable
+
+    last = cls.MATRIX_FIELDS[-1]
+    bad_cases = [
+        ({last: np.zeros((fields[last].shape[0], fields[last].shape[1] + 1))}, last),
+        ({name: np.zeros((0, 0)) for name in fields}, stacked),
+        ({stacked: np.zeros((7, fields[stacked].shape[1]))}, stacked),  # 7 rows, m = 3
+        ({plant: np.zeros((3, 4))}, plant),  # a non-square plant operator
+    ]
+    for change, named in bad_cases:
+        with pytest.raises(ShapeError, match=named):
+            cls(**{**fields, **change}, **extra)
+
+
+@pytest.mark.parametrize("derived", ["n_inputs", "dim"])
+def test_slh_model_takes_no_derived_sizes(derived):
+    with pytest.raises(TypeError):
+        SLHModel(S=identity(3), L=np.zeros((3, 1)), H=np.zeros((1, 1)), **{derived: 3})
 
 
 def test_validate_trivial_model():

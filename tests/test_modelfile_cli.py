@@ -26,7 +26,8 @@ from slhkit import (
 )
 from slhkit import modelfile, zoo
 from slhkit.cli import main
-from conftest import random_model
+from slhkit.model import field_shape
+from conftest import random_family, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def _model_objects(draw):
     kind = draw(st.sampled_from(["slh", "family", "stratonovich"]))
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     cls, fields = modelfile._KINDS[kind]
-    mats = {key: draw(arrays(complex, modelfile._shape(key, n, m), elements=_CELLS))
+    mats = {key: draw(arrays(complex, field_shape(key, n, m), elements=_CELLS))
             for key in fields}
     if kind == "family":
         slow = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1, unique=True))
@@ -741,3 +742,97 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
         assert res.exit_code == 1, tol
         assert res.output.startswith("Error: SLHKIT_TOL must be finite and >= 0"), tol
         assert len(res.output.splitlines()) == 1, tol
+
+
+# One row per CLI branch: the arguments ({slh}, {fam}, ... name the files of
+# cli_files), SLHKIT_TOL or None, the exit code, and the command's message.
+# A refusal (stream "err") writes exactly that one line to stderr; the other
+# rows write the message as a stdout line and nothing to stderr.
+_NOT_WRITABLE = "error: cannot write {missing}/"
+_NO_CAYLEY = ("error: S + 1 is not invertible (condition estimate inf); "
+              "no Stratonovich coefficients exist")
+_CLI_BRANCHES = [
+    ("check-stratonovich", ["check", "{strat}"], None, 0, "out",
+     "kind: stratonovich  n_inputs=1 dim=2"),
+    ("eval-family", ["eval", "{fam}", "--s", "1"], None, 1, "err",
+     "error: eval needs an slh or stratonovich file; use 'limit' for families"),
+    ("eval-s-and-sweep", ["eval", "{slh}", "--s", "1", "--sweep", "0:1:3"], None, 1, "err",
+     "Error: give exactly one of --s or --sweep"),
+    ("eval-no-point", ["eval", "{slh}"], None, 1, "err",
+     "Error: give exactly one of --s or --sweep"),
+    ("eval-plot-with-s", ["eval", "{slh}", "--s", "1", "--plot", "{tmp}/p.svg"], None, 1, "err",
+     "Error: --plot needs a --sweep grid"),
+    ("eval-sweep-malformed", ["eval", "{slh}", "--sweep", "0:1"], None, 1, "err",
+     "Error: --sweep must be 'min:max:count'"),
+    ("eval-sweep-count-0", ["eval", "{slh}", "--sweep", "0:1:0"], None, 1, "err",
+     "Error: --sweep count must be >= 1"),
+    ("eval-sweep-decreasing", ["eval", "{slh}", "--sweep", "1:0:3"], None, 1, "err",
+     "Error: grid points must be finite and strictly increasing"),
+    ("eval-no-stratonovich-form-s",
+     ["eval", "{minus}", "--method", "stratonovich", "--s", "1"], None, 2, "err", _NO_CAYLEY),
+    ("eval-no-stratonovich-form-sweep",
+     ["eval", "{minus}", "--method", "stratonovich", "--sweep", "0:1:3"], None, 2, "err",
+     _NO_CAYLEY),
+    ("eval-out-not-writable", ["eval", "{slh}", "--sweep", "0:1:3", "--out", "{missing}/f.csv"],
+     None, 3, "err", _NOT_WRITABLE + "f.csv: "),
+    ("eval-plot-not-writable",
+     ["eval", "{slh}", "--sweep", "0:1:3", "--plot", "{missing}/p.svg"], None, 3, "err",
+     _NOT_WRITABLE + "p.svg: "),
+    ("limit-emit-not-writable", ["limit", "{fam}", "--emit", "{missing}/slow.json"],
+     None, 3, "err", _NOT_WRITABLE + "slow.json: "),
+    ("tol-env-not-a-number", ["check", "{slh}"], "abc", 1, "err",
+     "Error: SLHKIT_TOL is not a number: 'abc'"),
+    ("check-tol-not-a-number", ["check", "{slh}", "--tol", "abc"], None, 1, "err",
+     "Error: --tol is not a number: 'abc'"),
+    ("limit-tol-not-a-number", ["limit", "{fam}", "--tol", "abc"], None, 1, "err",
+     "Error: --tol is not a number: 'abc'"),
+    ("limit-slh", ["limit", "{slh}"], None, 1, "err", "error: limit needs a family file"),
+    ("limit-emit-not-decoupled", ["limit", "{coupled}", "--emit", "{tmp}/slow.json"],
+     None, 0, "out", "not decoupled; no slow model written"),
+    ("limit-study-slope", ["limit", "{fam}", "--study", "100,1000,10000"], None, 0, "out",
+     "log-log slope: -1.000"),
+    ("compose-family", ["compose", "{fam}", "{slh}", "--out", "{tmp}/c.json"], None, 1, "err",
+     "error: compose needs two slh model files"),
+    ("zoo-param-without-equals", ["zoo", "thermal_qubit", "gamma"], None, 1, "err",
+     "error: parameters look like name=value, got 'gamma'"),
+    ("zoo-negative-gamma", ["zoo", "linear_passive", "gamma=-1"], None, 1, "err",
+     "error: gamma must be positive, got -1.0"),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """An slh, family and Stratonovich file, a family that the limit does not
+    decouple, and a model with S = -I exactly, which has no Stratonovich form."""
+    tmp = tmp_path_factory.mktemp("cli")
+    objects = {
+        "slh": zoo.build("thermal_qubit"),
+        "fam": zoo.build("lambda_system", n_max=2),
+        "strat": ito_to_stratonovich(zoo.build("thermal_qubit")),
+        "coupled": random_family(np.random.default_rng(5), 1, 1, 2),
+        "minus": SLHModel(S=-identity(2), L=np.zeros((2, 2)), H=np.diag([0.0, 1.0])),
+    }
+    paths = {"tmp": str(tmp), "missing": str(tmp / "missing")}
+    for name, obj in objects.items():
+        paths[name] = str(tmp / f"{name}.json")
+        modelfile.write_model(paths[name], obj)
+    return paths
+
+
+@pytest.mark.parametrize("args,tol_env,code,stream,message",
+                         [case[1:] for case in _CLI_BRANCHES],
+                         ids=[case[0] for case in _CLI_BRANCHES])
+def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, message):
+    if tol_env is not None:
+        monkeypatch.setenv("SLHKIT_TOL", tol_env)
+    res = CliRunner().invoke(main, [arg.format(**cli_files) for arg in args])
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    message = message.format(**cli_files)
+    if stream == "err":
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert res.stderr.startswith(message)
+    else:
+        assert res.exception is None and res.stderr == ""
+        assert message in res.stdout.splitlines()
