@@ -42,8 +42,7 @@ def main():
                          phi_plus=0.2, phi_minus=1.1)
     qpart = sk.BlockPartition(dim=2, slow_indices=(1,))
     samples = [0.5, 1.0 + 0.4j, 2.5]
-    decoupled, off_residual, skipped = sk.is_decoupled(qubit, qpart, samples,
-                                                       tol=1e-10)
+    decoupled, off_residual, skipped = sk.is_decoupled(qubit, qpart, samples)
     print(f"off-block residual over {len(samples)} samples: {off_residual:.3e} "
           f"(skipped: {len(skipped)})")
     print(f"decoupled: {decoupled}")
@@ -60,7 +59,7 @@ def main():
                             H=np.array([[shifted]]))
     ok_reduced, res_reduced, _ = sk.is_reduced_model(
         limit.as_model(), candidate, sk.BlockPartition(dim=2, slow_indices=(1,)),
-        samples, tol=1e-9)
+        samples)
     print(f"one-dimensional candidate with shifted frequency {shifted:+.4f}:")
     print(f"  certificate residual: {res_reduced:.3e} -> reduced: {ok_reduced}")
 
@@ -69,11 +68,12 @@ def main():
                         H=np.array([[shifted + 0.05]]))
     ok_wrong, _, _ = sk.is_reduced_model(
         limit.as_model(), wrong, sk.BlockPartition(dim=2, slow_indices=(1,)),
-        samples, tol=1e-9)
+        samples)
     print(f"  perturbed-frequency control rejected: {not ok_wrong}")
     print()
 
-    ok = (worst <= 1e-10 and decoupled and ok_reduced and not ok_wrong)
+    ok = (worst <= 1e-10 and decoupled and off_residual <= 1e-10
+          and ok_reduced and not ok_wrong)
     print("block reduction:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -70,7 +70,7 @@ def main():
     Fll = np.array([[0.0, 0.7], [0.7, -0.4]], dtype=complex)
     family = sk.StratScaledFamily(F00=F00, Fl0=Fl0, Fll=Fll)
     S_hat = sk.strat_scaling_limit(family)
-    _, unit_res = sk.is_unitary(S_hat, 1e-12)
+    _, unit_res = sk.is_unitary(S_hat)
     print(f"  limit scattering unitarity residual: {unit_res:.3e}")
     errs = []
     for k in (1e2, 1e3):

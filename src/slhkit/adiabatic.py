@@ -16,7 +16,9 @@ The slow-first permutation of the plant axis, the blocks A, Z, R and the
 structural residuals are derived once per family object and shared by every
 routine here; no other module reads a family's slow/fast layout.  The stacked
 input axis is never permuted and limit models are written back by slow index,
-so every limit comes back in the family's own order.
+so every limit comes back in the family's own order.  Structure and
+Hermiticity are judged at ``operators.DEFAULT_TOL``; only the assumption
+report's ``passed`` and ``limit_slh`` take a caller's ``tol``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .characteristic import char_op, singular_at
 from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
 from .model import BlockOperatorMatrix, SLHModel, _check_fields
 from .operators import (
+    DEFAULT_TOL,
     as_matrix,
     cond_ok,
     condition_estimate,
@@ -44,7 +47,6 @@ from .operators import (
 )
 from .reduction import BlockPartition, BlockedOperator, block_inverse, partition_operator
 
-STRUCT_TOL = 1e-9
 AFF_COND_LIMIT = 1e10
 AFF_COND_WARN = 1e8
 
@@ -133,11 +135,11 @@ class _SlowFirst:
 def _require_structure(family: ScaledSLHFamily) -> _SlowFirst:
     """The family's slow-first view, once its structure and Hermiticity hold."""
     p = family._slow_first
-    bad = {k: v for k, v in p.structural.items() if v > STRUCT_TOL}
+    bad = {k: v for k, v in p.structural.items() if v > DEFAULT_TOL}
     if bad:
         raise InvalidFamily(f"family violates its block structure: {bad}")
     for name, r in p.hermiticity.items():
-        if r > STRUCT_TOL:
+        if r > DEFAULT_TOL:
             raise InvalidFamily(f"{name} is not Hermitian: residual {r:.3e}")
     return p
 
@@ -164,7 +166,7 @@ class AssumptionReport:
     k_identity_residuals: dict
     messages: tuple = ()
 
-    def passed(self, tol: float = STRUCT_TOL) -> bool:
+    def passed(self, tol: float = DEFAULT_TOL) -> bool:
         worst = max(
             max(self.structural.values()),
             max(self.hermiticity.values()),
@@ -185,7 +187,7 @@ def check_assumptions(family: ScaledSLHFamily) -> AssumptionReport:
         warnings.warn(msgs[-1], RuntimeWarning, stacklevel=2)
     if not invertible:
         msgs.append(f"A_ff is not invertible (condition estimate {cond:.3e})")
-    try:  # reported only once structure and Hermiticity hold at STRUCT_TOL
+    try:  # reported only once structure and Hermiticity hold at DEFAULT_TOL
         identities = dict(_require_structure(family).identities)
     except InvalidFamily:
         identities = {}
@@ -200,7 +202,7 @@ def check_assumptions(family: ScaledSLHFamily) -> AssumptionReport:
     )
 
 
-def _require_assumptions(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> _SlowFirst:
+def _require_assumptions(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> _SlowFirst:
     """The family's slow-first view, once it passes the limit assumptions."""
     report = check_assumptions(family)
     if not report.passed(tol):
@@ -288,7 +290,7 @@ class LimitModel:
         return SLHModel(S=self.Shat, L=self.Lhat, H=self.Hhat)
 
 
-def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
+def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     """Limit SLH parameters, all Schur complements in A_ff:
 
         Shat_ab = (delta_ac + L1_af A_ff^-1 L1_cf*) S_cb
@@ -302,7 +304,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     """
     p = _require_assumptions(family, tol)
     sl, fa = p.sl, p.fa
-    Aff_inv = inverse(p.A[fa, fa], AFF_COND_LIMIT)
+    Aff_inv = inverse(p.A[fa, fa])
     Z_sf, Z_fs = p.Z[sl, fa], p.Z[fa, sl]
     L0s, L1f = p.L0[:, sl], p.L1[:, fa]
 
@@ -326,7 +328,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = STRUCT_TOL) -> LimitModel:
     Lhat[:, slow] = Lhat_slow
     Hhat = np.zeros((p.m, p.m), dtype=complex)
     Hhat[np.ix_(slow, slow)] = Hhat_ss
-    _, shat_res = is_unitary(Shat, tol)
+    _, shat_res = is_unitary(Shat)
 
     dec_residual = _decoupling_residual(Shat, Lhat, family.partition)
     decoupled = dec_residual <= tol
@@ -359,7 +361,7 @@ def _slow_block(Shat, Lhat, Hhat, part: BlockPartition) -> SLHModel:
                     H=partition_operator(Hhat, part).X_ss)
 
 
-def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
+def check_decoupling(limit: LimitModel):
     """Re-examine the decoupling conditions Lhat_f = Shat_sf = Shat_fs = 0.
 
     Returns (decoupled, residual).  When decoupled, the limit characteristic
@@ -368,10 +370,10 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
     """
     part = limit.partition
     residual = _decoupling_residual(limit.Shat, limit.Lhat, part)
-    ok = residual <= tol
+    ok = residual <= DEFAULT_TOL
     if ok:
         slow_model = limit.slow_model
-        if slow_model is None:  # possible when re-checking with a looser tol
+        if slow_model is None:  # possible after limit_slh with a tighter tol
             slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part)
         Tb = partition_operator(char_op(limit.as_model(), 1.0).data, part)
         block_res = max(
@@ -380,7 +382,7 @@ def check_decoupling(limit: LimitModel, tol: float = STRUCT_TOL):
             max_abs(Tb.X_ss - char_op(slow_model, 1.0).data),
             max_abs(Tb.X_ff - partition_operator(limit.Shat, part).X_ff),
         )
-        if block_res > max(tol, 1e-9):
+        if block_res > DEFAULT_TOL:
             raise AssumptionViolated(
                 f"decoupled limit is not block diagonal: residual {block_res:.3e}"
             )
@@ -408,7 +410,7 @@ def convergence_study(family: ScaledSLHFamily, s, k_values) -> ConvergenceStudy:
     fewer than 3 such points exist.  The expected slope is -1 (leading 1/k
     correction), or -2 when the first-order term vanishes (``kerr_qubit``).
 
-    Structure residuals <= ``STRUCT_TOL`` count as exact zeros, so the study
+    Structure residuals <= ``DEFAULT_TOL`` count as exact zeros, so the study
     describes the ideal family; its literal T_k, whose residuals grow as k^2,
     can stop converging: on ``detuned_two_level`` (delta = 2) with H2_ss =
     1e-10, k = 1e2 ... 1e5 give study errors 3.2e-3 ... 3.2e-6 (slope -1) but

@@ -2,8 +2,8 @@
 
 Commands: check, eval, limit, compose, zoo.  Exit codes are part of the
 contract: 0 success, 1 validation or assumption failure, 2 numerical
-failure, 3 I/O failure.  The default tolerance (1e-9) can be overridden
-with the SLHKIT_TOL environment variable or per-command --tol.
+failure, 3 I/O failure.  The default tolerance (``operators.DEFAULT_TOL``)
+can be overridden with SLHKIT_TOL or per-command --tol.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 import click
 import numpy as np
 
-from . import adiabatic, modelfile, svgplot, zoo
+from . import adiabatic, modelfile, operators, svgplot, zoo
 from .adiabatic import ScaledSLHFamily
 from .characteristic import (
     FrequencyGrid,
@@ -38,11 +38,10 @@ EXIT_IO = 3
 
 
 def _resolve_tol(tol) -> float:
-    """--tol when given, else SLHKIT_TOL, else 1e-9, both parsed here; refused
-    unless a finite number >= 0."""
+    """--tol, else SLHKIT_TOL, else DEFAULT_TOL; refused unless finite and >= 0."""
     source, raw = "--tol", tol
     if tol is None:
-        source, raw = "SLHKIT_TOL", os.environ.get("SLHKIT_TOL", "1e-9")
+        source, raw = "SLHKIT_TOL", os.environ.get("SLHKIT_TOL", operators.DEFAULT_TOL)
     try:
         tol = float(raw)
     except ValueError:

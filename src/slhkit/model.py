@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import BadParam, ShapeError
 from .operators import (
+    DEFAULT_TOL,
     annihilator,
     as_matrix,
     dagger,
@@ -35,8 +36,6 @@ from .operators import (
     is_unitary,
     kron,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ class SLHModel:
 
 def validate(model: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Residual report: S unitarity and H Hermiticity (shapes are checked on construction)."""
-    _, s_res = is_unitary(model.S, tol)
-    _, h_res = is_hermitian(model.H, tol)
+    _, s_res = is_unitary(model.S)
+    _, h_res = is_hermitian(model.H)
     msgs = []
     if s_res > tol:
         msgs.append(f"S fails unitarity: residual {s_res:.3e} > tol {tol:.1e}")
@@ -235,6 +234,11 @@ def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:
     )
 
 
+# Largest block Kronecker product series_product forms, in complex entries
+# (2**24 entries, 256 MiB): its S product holds n (n mB mA)^2 of them.
+SERIES_ENTRY_LIMIT = 2**24
+
+
 def _block_kron(X, Y, dx: int, dy: int) -> np.ndarray:
     """Block Kronecker product (X (*) Y)_jk = sum_l X_jl (x) Y_lk.
 
@@ -262,13 +266,22 @@ def series_product(downstream: SLHModel, upstream: SLHModel) -> SLHModel:
 
     where B is downstream, A is upstream and (*) is the block Kronecker
     product of :func:`_block_kron`, so S_jk = sum_l S^B_jl (x) S^A_lk.
+    ShapeError, before anything is formed, when that product for S would
+    exceed ``SERIES_ENTRY_LIMIT`` entries.
     """
     B, A = downstream, upstream
     if B.n_inputs != A.n_inputs:
         raise ShapeError(
             f"series product needs matching input counts, got {B.n_inputs} and {A.n_inputs}"
         )
-    mB, mA = B.dim, A.dim
+    n, mB, mA = B.n_inputs, B.dim, A.dim
+    entries = n * (n * mB * mA) ** 2
+    if entries > SERIES_ENTRY_LIMIT:
+        raise ShapeError(
+            f"series product of models with (n_inputs, dim) = ({n}, {mB}) and "
+            f"({n}, {mA}) would form {entries:,} complex entries, over the limit "
+            f"of {SERIES_ENTRY_LIMIT:,}"
+        )
     IA, IB = identity(mA), identity(mB)
     S = _block_kron(B.S, A.S, mB, mA)
     L = _block_kron(B.L, IA, mB, mA) + _block_kron(B.S, A.L, mB, mA)
@@ -277,16 +290,16 @@ def series_product(downstream: SLHModel, upstream: SLHModel) -> SLHModel:
     return SLHModel(S=S, L=L, H=H)
 
 
-def _check_unitary(V, tol: float = DEFAULT_TOL):
-    ok, res = is_unitary(V, tol)
+def _check_unitary(V):
+    ok, res = is_unitary(V)
     if not ok:
         raise BadParam(f"V is not unitary: residual {res:.3e}")
 
 
-def rotate(model: SLHModel, V, tol: float = DEFAULT_TOL) -> SLHModel:
+def rotate(model: SLHModel, V) -> SLHModel:
     """Basis rotation (V*SV, V*LV, V*HV), applied blockwise to S and L."""
     V = as_matrix(V, "V")
-    _check_unitary(V, tol)
+    _check_unitary(V)
     n = model.n_inputs
     Vn = kron(identity(n), V)
     return SLHModel(
@@ -296,10 +309,10 @@ def rotate(model: SLHModel, V, tol: float = DEFAULT_TOL) -> SLHModel:
     )
 
 
-def gauge(model: SLHModel, V, tol: float = DEFAULT_TOL) -> SLHModel:
+def gauge(model: SLHModel, V) -> SLHModel:
     """Gauge change (S, LV, V*HV); leaves the characteristic operator invariant."""
     V = as_matrix(V, "V")
-    _check_unitary(V, tol)
+    _check_unitary(V)
     return SLHModel(S=model.S.copy(), L=model.L @ V, H=dagger(V) @ model.H @ V)
 
 

@@ -5,9 +5,9 @@ Everything in this package runs on plain ``numpy`` arrays of dtype
 so all storage is dense and all tolerance checks use the max-absolute-entry
 norm returned by :func:`max_abs`.
 
-Inversions refuse a condition estimate above ``DEFAULT_COND_LIMIT`` (1e12).
-Only :func:`solve` and :func:`inverse` take a limit (the ``A_ff`` check
-passes 1e10); the evaluation routes built on them take none.
+``DEFAULT_TOL`` (1e-9) is the one default tolerance and ``DEFAULT_COND_LIMIT``
+(1e12) the one inversion limit; :func:`cond_ok` alone also decides other
+limits, and only the checks that the command line's ``--tol`` sets take a tol.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .errors import BadParam, ShapeError, SingularMatrix
 
+DEFAULT_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e12
 
 
@@ -71,28 +72,28 @@ def _lu_with_cond(A: np.ndarray):
     return (lu, piv), cond
 
 
-def cond_ok(cond: float, cond_limit: float) -> bool:
+def cond_ok(cond: float, limit: float) -> bool:
     """The guard decision: a condition estimate passes when finite and <= the limit."""
-    return bool(np.isfinite(cond) and cond <= cond_limit)
+    return bool(np.isfinite(cond) and cond <= limit)
 
 
-def guard_cond(cond: float, cond_limit: float) -> None:
-    """Raise SingularMatrix carrying ``cond`` unless :func:`cond_ok` holds."""
-    if not cond_ok(cond, cond_limit):
+def guard_cond(cond: float) -> None:
+    """Raise SingularMatrix carrying ``cond`` unless it passes DEFAULT_COND_LIMIT."""
+    if not cond_ok(cond, DEFAULT_COND_LIMIT):
         raise SingularMatrix(
-            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.3e}",
+            f"condition estimate {cond:.3e} exceeds limit {DEFAULT_COND_LIMIT:.3e}",
             cond_estimate=cond,
         )
 
 
-def solve(A, B, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def solve(A, B) -> np.ndarray:
     """A^-1 B for square A, refusing when the condition estimate is too large.
 
     Raises
     ------
     SingularMatrix
         If the LU diagonal signals rank deficiency or the condition estimate
-        exceeds ``cond_limit``.
+        exceeds ``DEFAULT_COND_LIMIT``.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -101,14 +102,14 @@ def solve(A, B, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     if A.shape[0] == 0:
         return np.zeros(B.shape, dtype=complex)
     factors, cond = _lu_with_cond(A)
-    guard_cond(cond, cond_limit)
+    guard_cond(cond)
     return scipy.linalg.lu_solve(factors, B)
 
 
-def inverse(A, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def inverse(A) -> np.ndarray:
     """A^-1 through :func:`solve` against the identity (same guard)."""
     A = np.asarray(A, dtype=complex)
-    return solve(A, np.eye(A.shape[0] if A.ndim else 0), cond_limit)
+    return solve(A, np.eye(A.shape[0] if A.ndim else 0))
 
 
 def condition_estimate(A) -> float:
@@ -120,22 +121,22 @@ def condition_estimate(A) -> float:
     return cond
 
 
-def is_hermitian(A, tol: float = 1e-9):
+def is_hermitian(A):
     """Return (ok, residual) with residual = ||A - A*|| in max-abs norm."""
     A = np.asarray(A, dtype=complex)
     if A.shape[0] != A.shape[1]:
         raise ShapeError("is_hermitian needs a square matrix")
     r = max_abs(A - dagger(A))
-    return r <= tol, r
+    return r <= DEFAULT_TOL, r
 
 
-def is_unitary(A, tol: float = 1e-9):
+def is_unitary(A):
     """Return (ok, residual) with residual = ||A*A - I|| in max-abs norm."""
     A = np.asarray(A, dtype=complex)
     if A.shape[0] != A.shape[1]:
         raise ShapeError("is_unitary needs a square matrix")
     r = max_abs(dagger(A) @ A - np.eye(A.shape[0]))
-    return r <= tol, r
+    return r <= DEFAULT_TOL, r
 
 
 # ---------------------------------------------------------------------------

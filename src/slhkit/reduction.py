@@ -28,7 +28,7 @@ import numpy as np
 from .characteristic import char_op, singular_at
 from .errors import BadParam, ShapeError, SingularMatrix
 from .model import SLHModel, k_operator
-from .operators import dagger, inverse, max_abs
+from .operators import DEFAULT_TOL, dagger, inverse, max_abs
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,9 @@ def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
     return reassemble_operator(blocks, partition)
 
 
-def _worst_over_samples(residual, s_samples, tol):
+def _worst_over_samples(residual, s_samples):
     """(ok, worst, skipped) of ``residual(s)`` over the samples: singular
-    points are skipped and listed; ``ok`` needs a checked point within tol."""
+    points are skipped and listed; ``ok`` needs a checked point within DEFAULT_TOL."""
     worst, skipped, checked = 0.0, [], 0
     for s in s_samples:
         try:
@@ -217,11 +217,10 @@ def _worst_over_samples(residual, s_samples, tol):
             continue
         checked += 1
         worst = max(worst, r)
-    return checked > 0 and worst <= tol, worst, tuple(skipped)
+    return checked > 0 and worst <= DEFAULT_TOL, worst, tuple(skipped)
 
 
-def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
-                 tol: float = 1e-9):
+def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples):
     """Certify T_21 = T_12 = 0 at the sampled points only.
 
     Returns (decoupled, max_off_block_residual, skipped) where ``skipped``
@@ -233,12 +232,11 @@ def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples,
         blocks = char_blocks(model, partition, s)
         return max(max_abs(blocks.X_sf), max_abs(blocks.X_fs))
 
-    return _worst_over_samples(residual, s_samples, tol)
+    return _worst_over_samples(residual, s_samples)
 
 
 def is_reduced_model(full: SLHModel, candidate: SLHModel,
-                     partition: BlockPartition, s_samples,
-                     tol: float = 1e-9):
+                     partition: BlockPartition, s_samples):
     """Check T_full = diag(T_candidate, I) over the partition at the samples.
 
     The candidate must live on the slow subspace with the same input count.
@@ -256,4 +254,4 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
         return max(max_abs(blocks.X_ss - Tc), max_abs(blocks.X_sf),
                    max_abs(blocks.X_fs), max_abs(blocks.X_ff - I_f))
 
-    return _worst_over_samples(residual, s_samples, tol)
+    return _worst_over_samples(residual, s_samples)

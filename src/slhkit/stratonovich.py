@@ -20,7 +20,9 @@ round trip exactly:
 
 (The sign of El0 differs from one printed source; substituting the printed
 sign back into the forward map yields -L, so the round-trip-consistent sign
-is used here.)
+is used here.)  The inverse map refuses S with an eigenvalue at or near -1,
+where max|(S + 1)^-1| exceeds ``DEFAULT_COND_LIMIT``, as CayleySingular;
+Hermiticity is judged at ``DEFAULT_TOL``.
 
 Besides the two maps, this module holds the Stratonovich-scaled family
 (E00 = k^2 F00, El0 = k Fl0) and its scattering limit.  It knows nothing of
@@ -35,9 +37,8 @@ import numpy as np
 
 from .errors import CayleySingular, InvalidCoefficients, SingularMatrix
 from .model import SLHModel, _check_fields
-from .operators import as_matrix, dagger, imag_part, inverse, max_abs
-
-STRAT_TOL = 1e-9
+from .operators import (DEFAULT_TOL, as_matrix, dagger, guard_cond, imag_part,
+                        inverse, is_hermitian, max_abs)
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class StratonovichCoefficients:
 
     def hermiticity_residual(self) -> float:
         return max(
-            max_abs(self.E00 - dagger(self.E00)),
-            max_abs(self.Ell - dagger(self.Ell)),
+            is_hermitian(self.E00)[1],
+            is_hermitian(self.Ell)[1],
             max_abs(self.E0l - dagger(self.El0)),
         )
 
@@ -77,11 +78,10 @@ def cayley(E) -> np.ndarray:
     return (I - 0.5j * E) @ inverse(I + 0.5j * E)
 
 
-def stratonovich_to_ito(coeffs: StratonovichCoefficients,
-                        tol: float = STRAT_TOL) -> SLHModel:
+def stratonovich_to_ito(coeffs: StratonovichCoefficients) -> SLHModel:
     """Forward map E -> (S, L, H).  Hermitian Ell makes the inverse exist."""
     r = coeffs.hermiticity_residual()
-    if r > tol:
+    if r > DEFAULT_TOL:
         raise InvalidCoefficients(
             f"coefficients violate Hermiticity requirements: residual {r:.3e}"
         )
@@ -102,15 +102,18 @@ def k_from_stratonovich(coeffs: StratonovichCoefficients) -> np.ndarray:
 
 
 def ito_to_stratonovich(model: SLHModel) -> StratonovichCoefficients:
-    """Inverse map (S, L, H) -> E; fails when S has an eigenvalue at -1."""
+    """Inverse map (S, L, H) -> E; fails when S has an eigenvalue at or near -1."""
     nm = model.n_inputs * model.dim
     I = np.eye(nm, dtype=complex)
     try:
         P = inverse(model.S + I)
+        # ||S + 1|| <= 2 for unitary S, so ||(S + 1)^-1|| is its condition; the
+        # pivot ratio misses an S + 1 that is uniformly small
+        guard_cond(max_abs(P))
     except SingularMatrix as exc:
         raise CayleySingular(
             f"S + 1 is not invertible (condition estimate "
-            f"{exc.cond_estimate}); no Stratonovich coefficients exist"
+            f"{exc.cond_estimate:.3e}); no Stratonovich coefficients exist"
         ) from None
     Ell = 2j * (model.S - I) @ P
     El0 = -2j * P @ model.L
@@ -145,9 +148,9 @@ class StratScaledFamily:
 
     def __post_init__(self):
         _check_fields(self)
-        if max_abs(self.F00 - dagger(self.F00)) > STRAT_TOL:
+        if not is_hermitian(self.F00)[0]:
             raise InvalidCoefficients("F00 must be Hermitian")
-        if max_abs(self.Fll - dagger(self.Fll)) > STRAT_TOL:
+        if not is_hermitian(self.Fll)[0]:
             raise InvalidCoefficients("Fll must be Hermitian")
 
     def coefficients_at(self, k: float) -> StratonovichCoefficients:

@@ -20,9 +20,9 @@ from slhkit import (
     partition_operator,
     scaled_resolvent_limit,
 )
-from slhkit.adiabatic import AFF_COND_LIMIT, STRUCT_TOL
+from slhkit.adiabatic import AFF_COND_LIMIT
 from slhkit.characteristic import singular_at
-from slhkit.operators import cond_ok
+from slhkit.operators import DEFAULT_TOL, cond_ok
 
 
 def strat_adiabatic_limit(family, s) -> np.ndarray:
@@ -44,11 +44,11 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
     there.
     """
     report = check_assumptions(family)
-    bad = {k: v for k, v in report.structural.items() if v > STRUCT_TOL}
+    bad = {k: v for k, v in report.structural.items() if v > DEFAULT_TOL}
     if bad:
         raise InvalidFamily(f"family violates its block structure: {bad}")
     for name, r in report.hermiticity.items():
-        if r > STRUCT_TOL:
+        if r > DEFAULT_TOL:
             raise InvalidFamily(f"{name} is not Hermitian: residual {r:.3e}")
 
     sl = np.array(family.partition.slow_indices)
@@ -57,7 +57,7 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
     Ell = E0.Ell
     cut = partition_operator(Ell, family.partition)
     off = max(max_abs(cut.X_sf), max_abs(cut.X_fs))
-    if off > STRUCT_TOL:
+    if off > DEFAULT_TOL:
         raise AssumptionViolated(
             f"Ell is not block diagonal over the slow/fast split (residual {off:.3e})"
         )

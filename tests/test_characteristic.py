@@ -147,16 +147,16 @@ def test_transfer_function_examples():
 
 def test_unitarity_on_axis_examples(rng):
     model = zoo.build("lossless", dim=2, n_inputs=1, phase=1.0, h_scale=0.0)
-    ok, res = unitarity_check(model, 0.7, 1e-12)
+    ok, res = unitarity_check(model, 0.7)
     assert ok and res <= 1e-14
 
     thermal = zoo.build("thermal_qubit", gamma=1.0, n=0.5, omega=0.9)
-    ok, res = unitarity_check(thermal, 0.37, 1e-10)
-    assert ok
+    ok, res = unitarity_check(thermal, 0.37)
+    assert ok and res <= 1e-10
 
     model = random_model(rng, 3, 2)
     for omega in rng.uniform(-5, 5, size=50):
-        ok, _ = unitarity_check(model, omega, 1e-9)
+        ok, _ = unitarity_check(model, omega)
         assert ok
 
 

@@ -46,3 +46,37 @@ def test_no_module_imports_inside_a_function():
                 nested = [node.lineno for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
                 assert not nested, f"{name}.{func.name} imports at lines {nested}"
+
+
+# the checks whose tolerance the command line's --tol (or SLHKIT_TOL) sets
+_TOL_RECEIVERS = {"model.validate", "model.ValidationReport.passed",
+                  "adiabatic.AssumptionReport.passed", "adiabatic.limit_slh",
+                  "adiabatic._require_assumptions"}
+
+
+def _functions(tree, prefix):
+    """(qualified name, node) of every function; methods are named under their class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{node.name}", node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _functions(node, f"{prefix}.{node.name}")
+
+
+def test_one_default_tolerance_and_no_other_tolerance_parameters():
+    receivers = set()
+    for name, tree in _modules().items():
+        if name != "operators":  # operators.DEFAULT_TOL is the one default
+            literals = [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, float) and node.value == 1e-9]
+            assert not literals, f"{name} writes 1e-9 at lines {literals}"
+        if name == "cli":  # its commands read the --tol option itself
+            continue
+        for qualname, func in _functions(tree, name):
+            a = func.args
+            params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            if params & {"tol", "cond_limit"}:
+                assert qualname in _TOL_RECEIVERS, f"{qualname} takes {params}"
+                receivers.add(qualname)
+    assert receivers == _TOL_RECEIVERS  # the walk sees every --tol receiver

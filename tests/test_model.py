@@ -282,6 +282,16 @@ def test_series_product_input_count_mismatch():
         series_product(_identity_model(n=1), _identity_model(n=2))
 
 
+def test_series_product_refuses_past_the_entry_limit(monkeypatch):
+    # S of two n = 1, m = 2 models is formed from 1 * (1 * 2 * 2)^2 = 16 entries
+    monkeypatch.setattr("slhkit.model.SERIES_ENTRY_LIMIT", 16)
+    assert series_product(_identity_model(), _identity_model()).dim == 4
+    monkeypatch.setattr("slhkit.model.SERIES_ENTRY_LIMIT", 15)
+    with pytest.raises(ShapeError, match=r"\(n_inputs, dim\) = \(1, 2\) and \(1, 3\) "
+                                         r"would form 36 complex entries, over the limit of 15"):
+        series_product(_identity_model(), _identity_model(m=3))
+
+
 def test_rotate_and_gauge_group_behaviour(rng):
     model = zoo.build("thermal_qubit", gamma=1.0, n=0.3, omega=0.5)
     assert max_abs(rotate(model, identity(2)).S - model.S) == 0.0

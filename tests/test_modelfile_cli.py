@@ -661,7 +661,7 @@ def test_cli_limit_refuses_bad_study_or_point_before_any_output(runner, tmp_path
         assert not slow.exists(), args
 
 
-def test_cli_compose_lift_and_mismatch(runner, tmp_path):
+def test_cli_compose_lift_and_mismatch(runner, tmp_path, monkeypatch):
     a_path = _write_zoo(runner, tmp_path, "linear_passive", "gamma=0.8", "n_max=2")
     trivial = SLHModel(S=identity(2), L=np.zeros((2, 2)), H=np.zeros((2, 2)))
     b_path = tmp_path / "trivial.json"
@@ -683,6 +683,16 @@ def test_cli_compose_lift_and_mismatch(runner, tmp_path):
     res = runner.invoke(main, ["compose", str(m_path), str(a_path),
                                "--out", str(tmp_path / "x.json")])
     assert res.exit_code == 1
+
+    # past the entry limit (1 * (2 * 3)^2 = 36 here): one line, nothing written
+    monkeypatch.setattr("slhkit.model.SERIES_ENTRY_LIMIT", 35)
+    res = runner.invoke(main, ["compose", str(b_path), str(a_path),
+                               "--out", str(tmp_path / "big.json")])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: series product of models with (n_inputs, dim) = (1, 2) and (1, 3) "
+        "would form 36 complex entries, over the limit of 35"]
+    assert not (tmp_path / "big.json").exists()
 
 
 def test_cli_zoo_list_and_unicode_params(runner, tmp_path):
@@ -751,6 +761,8 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
 _NOT_WRITABLE = "error: cannot write {missing}/"
 _NO_CAYLEY = ("error: S + 1 is not invertible (condition estimate inf); "
               "no Stratonovich coefficients exist")
+_NEAR_MINUS = ("error: S + 1 is not invertible (condition estimate 8.166e+15); "
+               "no Stratonovich coefficients exist")
 _CLI_BRANCHES = [
     ("check-stratonovich", ["check", "{strat}"], None, 0, "out",
      "kind: stratonovich  n_inputs=1 dim=2"),
@@ -773,6 +785,12 @@ _CLI_BRANCHES = [
     ("eval-no-stratonovich-form-sweep",
      ["eval", "{minus}", "--method", "stratonovich", "--sweep", "0:1:3"], None, 2, "err",
      _NO_CAYLEY),
+    ("eval-near-minus-one-s",
+     ["eval", "{near_minus}", "--method", "stratonovich", "--s", "1"], None, 2, "err",
+     _NEAR_MINUS),
+    ("eval-near-minus-one-sweep",
+     ["eval", "{near_minus}", "--method", "stratonovich", "--sweep", "0:1:3"], None, 2, "err",
+     _NEAR_MINUS),
     ("eval-out-not-writable", ["eval", "{slh}", "--sweep", "0:1:3", "--out", "{missing}/f.csv"],
      None, 3, "err", _NOT_WRITABLE + "f.csv: "),
     ("eval-plot-not-writable",
@@ -803,7 +821,8 @@ _CLI_BRANCHES = [
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """An slh, family and Stratonovich file, a family that the limit does not
-    decouple, and a model with S = -I exactly, which has no Stratonovich form."""
+    decouple, a model with S = -I exactly, which has no Stratonovich form, and
+    the lossless model at phase pi, whose S is -I up to rounding."""
     tmp = tmp_path_factory.mktemp("cli")
     objects = {
         "slh": zoo.build("thermal_qubit"),
@@ -811,6 +830,7 @@ def cli_files(tmp_path_factory):
         "strat": ito_to_stratonovich(zoo.build("thermal_qubit")),
         "coupled": random_family(np.random.default_rng(5), 1, 1, 2),
         "minus": SLHModel(S=-identity(2), L=np.zeros((2, 2)), H=np.diag([0.0, 1.0])),
+        "near_minus": zoo.build("lossless", phase=np.pi),
     }
     paths = {"tmp": str(tmp), "missing": str(tmp / "missing")}
     for name, obj in objects.items():

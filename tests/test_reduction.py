@@ -165,17 +165,17 @@ def test_is_decoupled_cases(rng):
 
     thermal = zoo.build("thermal_qubit", gamma=1.0, n=0.2, omega=0.4)
     part = BlockPartition(dim=2, slow_indices=(1,))
-    ok, worst, skipped = is_decoupled(thermal, part, samples, tol=1e-10)
-    assert ok and not skipped
+    ok, worst, skipped = is_decoupled(thermal, part, samples)
+    assert ok and worst <= 1e-10 and not skipped
 
     swap = SLHModel(S=pauli("x"), L=np.zeros((2, 2)), H=np.zeros((2, 2)))
-    ok, worst, _ = is_decoupled(swap, part, samples, tol=1e-10)
+    ok, worst, _ = is_decoupled(swap, part, samples)
     assert not ok and worst == pytest.approx(1.0)
 
     diag_scatter = SLHModel(S=np.diag([1.0, 1j]).astype(complex),
                             L=np.zeros((2, 2)), H=np.zeros((2, 2)))
-    ok, _, _ = is_decoupled(diag_scatter, part, samples, tol=1e-12)
-    assert ok
+    ok, worst, _ = is_decoupled(diag_scatter, part, samples)
+    assert ok and worst <= 1e-12
 
 
 def test_is_reduced_model_direct_sum_embedding(rng):
@@ -191,9 +191,8 @@ def test_is_reduced_model_direct_sum_embedding(rng):
     H[:2, :2] = inner.H
     full = SLHModel(S=S, L=L, H=H)
     part = BlockPartition(dim=4, slow_indices=(0, 1))
-    ok, worst, _ = is_reduced_model(full, inner, part, [0.5, 1.0, 1.5 + 0.5j],
-                                    tol=1e-10)
-    assert ok, worst
+    ok, worst, _ = is_reduced_model(full, inner, part, [0.5, 1.0, 1.5 + 0.5j])
+    assert ok and worst <= 1e-10, worst
 
 
 def test_is_reduced_model_detuned_limit_statement():
@@ -207,13 +206,11 @@ def test_is_reduced_model_detuned_limit_statement():
                       H=np.array([[w_shift]]))
     part = BlockPartition(dim=2, slow_indices=(1,))
     samples = [0.4, 1.0, 2.0 + 0.7j]
-    ok, worst, _ = is_reduced_model(limit.as_model(), scalar, part, samples,
-                                    tol=1e-9)
+    ok, worst, _ = is_reduced_model(limit.as_model(), scalar, part, samples)
     assert ok, worst
 
     wrong = SLHModel(S=identity(1),
                      L=np.array([[np.sqrt(params["gamma"])]]),
                      H=np.array([[w_shift + 0.05]]))
-    ok, worst, _ = is_reduced_model(limit.as_model(), wrong, part, samples,
-                                    tol=1e-9)
+    ok, worst, _ = is_reduced_model(limit.as_model(), wrong, part, samples)
     assert not ok

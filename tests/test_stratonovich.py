@@ -108,6 +108,10 @@ def test_cayley_singular_when_scattering_has_minus_one():
     with pytest.raises(CayleySingular):
         ito_to_stratonovich(limit_like)
 
+    # S = (-1 + 1.2e-16 i) I: S + 1 is uniformly tiny, so its pivot ratio is 1
+    with pytest.raises(CayleySingular, match="condition estimate 8.166e"):
+        ito_to_stratonovich(zoo.build("lossless", phase=np.pi))
+
 
 def test_cayley_of_hermitian_is_unitary(rng):
     for _ in range(10):
