@@ -226,7 +226,8 @@ def scaled_resolvent_limit(M11, M12, M21, M22, s) -> BlockedOperator:
     :func:`~slhkit.reduction.block_inverse` of [[s + M11, M12], [M21, M22]].
     """
     M11, M12, M21, M22 = (np.asarray(M, dtype=complex) for M in (M11, M12, M21, M22))
-    D, _ = block_inverse(s * np.eye(M11.shape[0]) + M11, M12, M21, M22)
+    with singular_at(s):
+        D, _ = block_inverse(s * np.eye(M11.shape[0]) + M11, M12, M21, M22)
     return D
 
 

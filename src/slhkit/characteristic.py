@@ -292,7 +292,15 @@ def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
     so a point costs a triangular solve with one right-hand side per
     selected column.  The default selection is the whole operator.
     """
-    T, Z = _block_schur(k_operator(model))
+    K = k_operator(model)
+    if not np.isfinite(K).all():  # overflowed: no Schur form, every point refused
+
+        def evaluate(s):
+            with singular_at(s):
+                guard_cond(np.inf)
+
+        return evaluate
+    T, Z = _block_schur(K)
     LZ = model.L[rows] @ Z
     W = dagger(Z) @ (dagger(model.L) @ model.S[:, cols])
     S = model.S[rows][:, cols]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: check, eval, limit, compose, zoo.  Exit codes are part of the
-contract: 0 success, 1 validation or assumption failure, 2 numerical
-failure, 3 I/O failure.  The default tolerance (``operators.DEFAULT_TOL``)
-can be overridden with SLHKIT_TOL or per-command --tol.
+contract: 0 success, 1 validation or assumption failure (and usage errors),
+2 numerical failure, 3 I/O failure.  Every refusal is a ``_Refusal``: one
+``error:`` line on stderr and its exit code.  The default tolerance
+(``operators.DEFAULT_TOL``) can be overridden with SLHKIT_TOL or per-command --tol.
 """
 
 from __future__ import annotations
@@ -31,10 +32,38 @@ from .stratonovich import (
     stratonovich_to_ito,
 )
 
-EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+
+class _Refusal(click.ClickException):
+    """Every refusal slhkit makes: one ``error: <message>`` line on stderr, then ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_VALIDATION):
+        super().__init__(message)
+        self.exit_code = code
+
+    def show(self, file=None):
+        click.echo(f"error: {self.format_message()}", err=True)
+
+
+class _Main(click.Group):
+    """Click's usage errors keep their text but exit 1, like slhkit's own refusals."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:  # e.g. an unknown option of slhkit itself
+            exc.exit_code = EXIT_VALIDATION
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:  # an unknown command or a command's bad arguments
+            exc.exit_code = EXIT_VALIDATION
+            raise
 
 
 def _resolve_tol(tol) -> float:
@@ -45,9 +74,9 @@ def _resolve_tol(tol) -> float:
     try:
         tol = float(raw)
     except ValueError:
-        raise click.ClickException(f"{source} is not a number: {raw!r}")
+        raise _Refusal(f"{source} is not a number: {raw!r}")
     if not (np.isfinite(tol) and tol >= 0):
-        raise click.ClickException(f"{source} must be finite and >= 0, got {tol:g}")
+        raise _Refusal(f"{source} must be finite and >= 0, got {tol:g}")
     return tol
 
 
@@ -55,11 +84,9 @@ def _read(path):
     try:
         return modelfile.read_model(path)
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        raise _Refusal(f"cannot read {path}: {exc}", EXIT_IO)
     except SlhkitError as exc:  # parse errors and invalid matrices or partitions
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal(f"{path}: {exc}")
 
 
 def _write_text(path, text):
@@ -67,8 +94,7 @@ def _write_text(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        raise _Refusal(f"cannot write {path}: {exc}", EXIT_IO)
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -80,10 +106,10 @@ def _parse_complex(text: str, what: str) -> complex:
                 return z
     except ValueError:
         pass
-    raise click.ClickException(f"cannot parse {what} {text!r}; use 're' or 're,im'")
+    raise _Refusal(f"cannot parse {what} {text!r}; use 're' or 're,im'")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Characteristic operators of quantum input-plant-output models."""
 
@@ -129,7 +155,8 @@ def cmd_check(path, tol):
         click.echo(f"Hermiticity residual: {res:.3e}")
         failed = res > tol
     click.echo("FAIL" if failed else "PASS")
-    sys.exit(EXIT_VALIDATION if failed else EXIT_OK)
+    if failed:
+        sys.exit(EXIT_VALIDATION)
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +183,27 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
         try:
             model = stratonovich_to_ito(obj)
         except SlhkitError as exc:  # e.g. E00 not Hermitian
-            click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+            raise _Refusal(f"{path}: {exc}")
     elif isinstance(obj, SLHModel):
         model = obj
     else:
-        click.echo("error: eval needs an slh or stratonovich file; "
-                   "use 'limit' for families", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal("eval needs an slh or stratonovich file; use 'limit' for families")
     nm = model.n_inputs * model.dim
     try:
         r, c = (int(v) for v in entry_spec.split(","))
     except ValueError:
-        raise click.ClickException("--entry must be 'row,col'")
+        raise _Refusal("--entry must be 'row,col'")
     if not (0 <= r < nm and 0 <= c < nm):
-        raise click.ClickException(f"--entry out of range for a {nm}x{nm} matrix")
+        raise _Refusal(f"--entry out of range for a {nm}x{nm} matrix")
 
     if (s_point is None) == (sweep_spec is None):
-        raise click.ClickException("give exactly one of --s or --sweep")
+        raise _Refusal("give exactly one of --s or --sweep")
     # a plot alone forms only its traced entry; a CSV needs every entry
     selection = {"rows": [r], "cols": [c]} if plot_path and not out_path else {}
     if s_point is not None:
         # one arbitrary complex point, evaluated outside the grid machinery
         if plot_path:
-            raise click.ClickException("--plot needs a --sweep grid")
+            raise _Refusal("--plot needs a --sweep grid")
         z = _parse_complex(s_point, "--s")
         evaluators = {
             "direct": lambda s: char_op(model, s),
@@ -194,8 +218,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             matrices = [None]
             statuses = [str(exc)]
         except SlhkitError as exc:  # e.g. no Stratonovich form exists
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+            raise _Refusal(str(exc), EXIT_NUMERICAL)
         s_values = [z]
         grid_points = [z]
     else:
@@ -203,19 +226,18 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             lo, hi, count = sweep_spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
-            raise click.ClickException("--sweep must be 'min:max:count'")
+            raise _Refusal("--sweep must be 'min:max:count'")
         if count < 1:
-            raise click.ClickException("--sweep count must be >= 1")
+            raise _Refusal("--sweep count must be >= 1")
         if not np.isfinite(hi - lo):  # inf or nan for non-finite bounds too
-            raise click.ClickException("--sweep min, max and max - min must be finite")
+            raise _Refusal("--sweep min, max and max - min must be finite")
         try:
             grid = FrequencyGrid(axis=axis, points=np.linspace(lo, hi, count))
             result = sweep(model, grid, method=method, **selection)
         except ShapeError as exc:
-            raise click.ClickException(str(exc))
+            raise _Refusal(str(exc))
         except SlhkitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+            raise _Refusal(str(exc), EXIT_NUMERICAL)
         s_values, matrices, statuses = modelfile.from_sweep_result(result)
         grid_points = list(grid.points)
 
@@ -227,8 +249,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             modelfile.write_sweep_csv(out_path, s_values, matrices, statuses,
                                       model.n_inputs, model.dim)
         except OSError as exc:
-            click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-            sys.exit(EXIT_IO)
+            raise _Refusal(f"cannot write {out_path}: {exc}", EXIT_IO)
         click.echo(f"wrote {out_path}")
     if plot_path:
         at = (0, 0) if selection else (r, c)
@@ -238,9 +259,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
             x_label="omega" if axis == "imaginary" else "s"))
         click.echo(f"wrote {plot_path}")
     if n_ok == 0:
-        click.echo("error: all grid points singular", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    sys.exit(EXIT_OK)
+        raise _Refusal("all grid points singular", EXIT_NUMERICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +283,12 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
     tol = _resolve_tol(tol)
     obj = _read(path)
     if not isinstance(obj, ScaledSLHFamily):
-        click.echo("error: limit needs a family file", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal("limit needs a family file")
     s = _parse_complex(s_point, "--s")
     try:
         ks = [float(v) for v in study_spec.split(",") if v] if study_spec else []
     except ValueError:
-        raise click.ClickException("--study must be comma-separated numbers")
+        raise _Refusal("--study must be comma-separated numbers")
     report = adiabatic.check_assumptions(obj)
     click.echo(f"assumptions: {'PASS' if report.passed(tol) else 'FAIL'}")
     for name, val in report.structural.items():
@@ -294,9 +312,9 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
         try:
             study = adiabatic.convergence_study(obj, s, ks)
         except SlhkitError as exc:  # the study re-checks the family at 1e-9
-            click.echo(f"error: convergence study failed: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL if isinstance(exc, SingularMatrix)
-                     else EXIT_VALIDATION)
+            raise _Refusal(f"convergence study failed: {exc}",
+                           EXIT_NUMERICAL if isinstance(exc, SingularMatrix)
+                           else EXIT_VALIDATION)
         click.echo("k, error")
         for k, err in study.rows():
             click.echo(f"{k:g}, {err:.6e}")
@@ -304,7 +322,6 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
             click.echo(f"log-log slope: {study.slope:.3f}")
         else:
             click.echo("log-log slope: not fitted (need >= 3 points with k >= 100)")
-    sys.exit(EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +338,13 @@ def cmd_compose(downstream_path, upstream_path, out_path):
     B = _read(downstream_path)
     A = _read(upstream_path)
     if not isinstance(B, SLHModel) or not isinstance(A, SLHModel):
-        click.echo("error: compose needs two slh model files", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal("compose needs two slh model files")
     try:
         composed = series_product(B, A)
     except ShapeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal(str(exc))
     _write_text(out_path, modelfile.dumps(composed))
     click.echo(f"wrote {out_path} (n_inputs={composed.n_inputs}, dim={composed.dim})")
-    sys.exit(EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +370,15 @@ def cmd_zoo(name, params, out_path):
         for entry_name in zoo.names():
             e = zoo.entry(entry_name)
             click.echo(f"{entry_name:20s} [{e.kind:6s}] {e.summary}")
-        sys.exit(EXIT_OK)
+        return
     try:
         defaults = zoo.entry(name).defaults
     except BadParam as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise _Refusal(str(exc))
     kwargs = {}
     for raw in params:
         if "=" not in raw:
-            click.echo(f"error: parameters look like name=value, got {raw!r}", err=True)
-            sys.exit(EXIT_VALIDATION)
+            raise _Refusal(f"parameters look like name=value, got {raw!r}")
         key, value = raw.split("=", 1)
         key = _PARAM_ALIASES.get(key, key)
         # a value takes the type of its default; zoo.build refuses unknown names
@@ -378,21 +390,18 @@ def cmd_zoo(name, params, out_path):
                 kwargs[key] = typ(value)
             else:  # e.g. slow_indices, which only Python callers set
                 raise ValueError(key)
-        except (ValueError, click.ClickException):
-            click.echo(f"error: cannot parse value for {key}: {value!r}", err=True)
-            sys.exit(EXIT_VALIDATION)
+        except (ValueError, _Refusal):
+            raise _Refusal(f"cannot parse value for {key}: {value!r}")
     try:
         obj = zoo.build(name, **kwargs)
-    except (BadParam, SlhkitError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+    except SlhkitError as exc:
+        raise _Refusal(str(exc))
     text = modelfile.dumps(obj)
     if out_path:
         _write_text(out_path, text)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

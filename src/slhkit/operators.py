@@ -61,14 +61,16 @@ def _lu_with_cond(A: np.ndarray):
 
     The estimate is max|u_ii| / min|u_ii| from the U factor diagonal.  It is
     deliberately crude; its only job is to provide an explicit failure mode
-    for resolvents evaluated at or near the spectrum.
+    for resolvents evaluated at or near the spectrum.  A matrix with a
+    non-finite entry (an overflowed generator, say) gets the estimate inf.
     """
+    finite = np.isfinite(A).all()  # the one scan; lu_factor skips its own
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exactly singular U
-        lu, piv = scipy.linalg.lu_factor(A)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     d = np.abs(np.diag(lu))
     dmin = d.min() if d.size else 0.0
-    cond = np.inf if dmin == 0.0 else float(d.max() / dmin)
+    cond = np.inf if not finite or dmin == 0.0 else float(d.max() / dmin)
     return (lu, piv), cond
 
 
@@ -92,8 +94,8 @@ def solve(A, B) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        If the LU diagonal signals rank deficiency or the condition estimate
-        exceeds ``DEFAULT_COND_LIMIT``.
+        If A has a non-finite entry, the LU diagonal signals rank deficiency
+        or the condition estimate exceeds ``DEFAULT_COND_LIMIT``.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)

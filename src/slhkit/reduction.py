@@ -21,7 +21,7 @@ and the adiabatic limits apply it to the k-scaled generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,24 +33,21 @@ from .operators import DEFAULT_TOL, dagger, inverse, max_abs
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint index sets covering 0..dim-1; order within each set is kept."""
+    """Slow indices in the given order; the fast set is the rest of 0..dim-1, ascending."""
 
     dim: int
     slow_indices: tuple
-    fast_indices: tuple = None
+    fast_indices: tuple = field(init=False)
 
     def __post_init__(self):
         slow = tuple(int(i) for i in self.slow_indices)
-        if self.fast_indices is None:
-            fast = tuple(i for i in range(self.dim) if i not in set(slow))
-        else:
-            fast = tuple(int(i) for i in self.fast_indices)
-        sset, fset = set(slow), set(fast)
+        sset = set(slow)
+        fast = tuple(i for i in range(self.dim) if i not in sset)
         if not slow or not fast:
             raise BadParam("both partition blocks must be nonempty")
-        if len(sset) != len(slow) or len(fset) != len(fast):
+        if len(sset) != len(slow):
             raise BadParam("partition indices must be distinct")
-        if sset & fset or sset | fset != set(range(self.dim)):
+        if not sset <= set(range(self.dim)):
             raise BadParam("partition blocks must be disjoint and cover 0..dim-1")
         object.__setattr__(self, "slow_indices", slow)
         object.__setattr__(self, "fast_indices", fast)

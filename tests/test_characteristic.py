@@ -31,8 +31,10 @@ from slhkit import (
     perturbation_series,
     rotate,
     coefficients_from_parts,
+    scaled_resolvent_limit,
     schur_feshbach,
     series_product,
+    sigma_kernel,
     sweep,
     transfer_function,
     unitarity_check,
@@ -529,6 +531,22 @@ _SINGULAR_ROUTES = {
         lambda s: strat_adiabatic_limit(_FAMILY, s), 0j),
     "direct_sweep_point": (
         lambda s: _schur_char_op(_CAVITY)(s), _CAVITY_POLE),
+    "transfer_function": (
+        lambda s: transfer_function(
+            (k_operator(_CAVITY), dagger(_CAVITY.L), _CAVITY.L, _CAVITY.S), s),
+        _CAVITY_POLE),
+    # Sigma(s) = L (s + iH)^-1 L* with H = diag(0, 1/2, 1, 3/2)
+    "sigma_kernel": (lambda s: sigma_kernel(_CAVITY, s), -0.5j),
+    "perturbation_series": (
+        lambda s: perturbation_series(_CAVITY, identity(_CAVITY.dim), 0.1, 2, s),
+        _CAVITY_POLE),
+    "vacuum_expectation_char": (
+        lambda s: vacuum_expectation_char(_CAVITY, s, dims=(_CAVITY.dim,)), _CAVITY_POLE),
+    # s + Mhat11 = s - 1/2 with Mhat11 = M11 - M12 M22^-1 M21
+    "scaled_resolvent_limit": (
+        lambda s: scaled_resolvent_limit(-0.5 * identity(1), 0 * identity(1),
+                                         0 * identity(1), identity(1), s),
+        0.5 + 0j),
 }
 
 

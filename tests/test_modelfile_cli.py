@@ -1,6 +1,7 @@
 """Model-file container, sweep CSV, SVG emission, and the CLI contract."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 import xml.etree.ElementTree as ET
@@ -394,7 +395,7 @@ def test_cli_check_pass_fail_and_io(runner, tmp_path):
     for tol in ("nan", "-1", "inf"):
         res = runner.invoke(main, ["check", str(path), "--tol", tol])
         assert res.exit_code == 1, tol
-        assert res.output.startswith("Error: --tol must be finite and >= 0"), tol
+        assert res.output.startswith("error: --tol must be finite and >= 0"), tol
         assert len(res.output.splitlines()) == 1, tol
 
 
@@ -537,7 +538,7 @@ def test_cli_eval_single_point_and_plot(runner, tmp_path):
         res = runner.invoke(main, ["eval", str(path), "--sweep", spec,
                                    "--out", str(out)])
         assert res.exit_code == 1, spec
-        assert res.output.strip() == "Error: --sweep min, max and max - min must be finite"
+        assert res.output.strip() == "error: --sweep min, max and max - min must be finite"
         assert not out.exists(), spec
 
     svg = tmp_path / "trace.svg"
@@ -587,7 +588,7 @@ def test_cli_eval_bad_entry_refused_before_evaluation(runner, tmp_path):
             res = runner.invoke(main, ["eval", str(path), "--sweep", "0.1:5:20",
                                        *outputs, "--entry", entry])
             assert res.exit_code == 1, entry
-            assert res.output.strip() == f"Error: {message}", entry
+            assert res.output.strip() == f"error: {message}", entry
             assert not out.exists() and not svg.exists(), entry
 
 
@@ -657,7 +658,7 @@ def test_cli_limit_refuses_bad_study_or_point_before_any_output(runner, tmp_path
                           (["--s", "zz"], "cannot parse --s 'zz'; use 're' or 're,im'")):
         res = runner.invoke(main, ["limit", str(path), "--emit", str(slow), *args])
         assert res.exit_code == 1, args
-        assert res.output.strip() == f"Error: {message}", args
+        assert res.output.strip() == f"error: {message}", args
         assert not slow.exists(), args
 
 
@@ -750,7 +751,7 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
         monkeypatch.setenv("SLHKIT_TOL", tol)
         res = runner.invoke(main, ["check", str(path)])
         assert res.exit_code == 1, tol
-        assert res.output.startswith("Error: SLHKIT_TOL must be finite and >= 0"), tol
+        assert res.output.startswith("error: SLHKIT_TOL must be finite and >= 0"), tol
         assert len(res.output.splitlines()) == 1, tol
 
 
@@ -769,17 +770,17 @@ _CLI_BRANCHES = [
     ("eval-family", ["eval", "{fam}", "--s", "1"], None, 1, "err",
      "error: eval needs an slh or stratonovich file; use 'limit' for families"),
     ("eval-s-and-sweep", ["eval", "{slh}", "--s", "1", "--sweep", "0:1:3"], None, 1, "err",
-     "Error: give exactly one of --s or --sweep"),
+     "error: give exactly one of --s or --sweep"),
     ("eval-no-point", ["eval", "{slh}"], None, 1, "err",
-     "Error: give exactly one of --s or --sweep"),
+     "error: give exactly one of --s or --sweep"),
     ("eval-plot-with-s", ["eval", "{slh}", "--s", "1", "--plot", "{tmp}/p.svg"], None, 1, "err",
-     "Error: --plot needs a --sweep grid"),
+     "error: --plot needs a --sweep grid"),
     ("eval-sweep-malformed", ["eval", "{slh}", "--sweep", "0:1"], None, 1, "err",
-     "Error: --sweep must be 'min:max:count'"),
+     "error: --sweep must be 'min:max:count'"),
     ("eval-sweep-count-0", ["eval", "{slh}", "--sweep", "0:1:0"], None, 1, "err",
-     "Error: --sweep count must be >= 1"),
+     "error: --sweep count must be >= 1"),
     ("eval-sweep-decreasing", ["eval", "{slh}", "--sweep", "1:0:3"], None, 1, "err",
-     "Error: grid points must be finite and strictly increasing"),
+     "error: grid points must be finite and strictly increasing"),
     ("eval-no-stratonovich-form-s",
      ["eval", "{minus}", "--method", "stratonovich", "--s", "1"], None, 2, "err", _NO_CAYLEY),
     ("eval-no-stratonovich-form-sweep",
@@ -799,11 +800,11 @@ _CLI_BRANCHES = [
     ("limit-emit-not-writable", ["limit", "{fam}", "--emit", "{missing}/slow.json"],
      None, 3, "err", _NOT_WRITABLE + "slow.json: "),
     ("tol-env-not-a-number", ["check", "{slh}"], "abc", 1, "err",
-     "Error: SLHKIT_TOL is not a number: 'abc'"),
+     "error: SLHKIT_TOL is not a number: 'abc'"),
     ("check-tol-not-a-number", ["check", "{slh}", "--tol", "abc"], None, 1, "err",
-     "Error: --tol is not a number: 'abc'"),
+     "error: --tol is not a number: 'abc'"),
     ("limit-tol-not-a-number", ["limit", "{fam}", "--tol", "abc"], None, 1, "err",
-     "Error: --tol is not a number: 'abc'"),
+     "error: --tol is not a number: 'abc'"),
     ("limit-slh", ["limit", "{slh}"], None, 1, "err", "error: limit needs a family file"),
     ("limit-emit-not-decoupled", ["limit", "{coupled}", "--emit", "{tmp}/slow.json"],
      None, 0, "out", "not decoupled; no slow model written"),
@@ -815,15 +816,27 @@ _CLI_BRANCHES = [
      "error: parameters look like name=value, got 'gamma'"),
     ("zoo-negative-gamma", ["zoo", "linear_passive", "gamma=-1"], None, 1, "err",
      "error: gamma must be positive, got -1.0"),
+    # K = -L*L/2 - iH overflows to inf: refused like a singular generator
+    ("eval-overflow-s", ["eval", "{huge}", "--s", "1"], None, 2, "err",
+     "error: all grid points singular"),
+    ("eval-overflow-sweep", ["eval", "{huge}", "--sweep", "-1:1:3"], None, 2, "err",
+     "error: all grid points singular"),
+    ("eval-overflow-stratonovich", ["eval", "{huge}", "--method", "stratonovich", "--s", "1"],
+     None, 2, "err", "error: all grid points singular"),
+    ("limit-overflow-study", ["limit", "{huge_fam}", "--study", "10,100"], None, 2, "err",
+     "error: convergence study failed: "),
 ]
 
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """An slh, family and Stratonovich file, a family that the limit does not
-    decouple, a model with S = -I exactly, which has no Stratonovich form, and
-    the lossless model at phase pi, whose S is -I up to rounding."""
+    decouple, a model with S = -I exactly, which has no Stratonovich form, the
+    lossless model at phase pi, whose S is -I up to rounding, and an slh model
+    and a family whose L (L0) entries of 1e160 pass check but overflow K."""
     tmp = tmp_path_factory.mktemp("cli")
+    cavity = zoo.build("linear_passive", n_max=2)
+    two_level = zoo.build("detuned_two_level")
     objects = {
         "slh": zoo.build("thermal_qubit"),
         "fam": zoo.build("lambda_system", n_max=2),
@@ -831,6 +844,8 @@ def cli_files(tmp_path_factory):
         "coupled": random_family(np.random.default_rng(5), 1, 1, 2),
         "minus": SLHModel(S=-identity(2), L=np.zeros((2, 2)), H=np.diag([0.0, 1.0])),
         "near_minus": zoo.build("lossless", phase=np.pi),
+        "huge": SLHModel(S=cavity.S, L=cavity.L * 1e160, H=cavity.H),
+        "huge_fam": dataclasses.replace(two_level, L0=two_level.L0 * 1e160),
     }
     paths = {"tmp": str(tmp), "missing": str(tmp / "missing")}
     for name, obj in objects.items():
@@ -839,9 +854,15 @@ def cli_files(tmp_path_factory):
     return paths
 
 
+def _branch(name, args, *rest):
+    # numpy warns of the overflow in K before slhkit refuses the point
+    overflow = any(arg in ("{huge}", "{huge_fam}") for arg in args)
+    marks = [pytest.mark.filterwarnings("ignore::RuntimeWarning")] if overflow else []
+    return pytest.param(args, *rest, id=name, marks=marks)
+
+
 @pytest.mark.parametrize("args,tol_env,code,stream,message",
-                         [case[1:] for case in _CLI_BRANCHES],
-                         ids=[case[0] for case in _CLI_BRANCHES])
+                         [_branch(*case) for case in _CLI_BRANCHES])
 def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, message):
     if tol_env is not None:
         monkeypatch.setenv("SLHKIT_TOL", tol_env)
@@ -852,7 +873,27 @@ def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, messa
     if stream == "err":
         assert isinstance(res.exception, SystemExit)
         assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert res.stderr.startswith("error: ")
         assert res.stderr.startswith(message)
     else:
         assert res.exception is None and res.stderr == ""
         assert message in res.stdout.splitlines()
+
+
+@pytest.mark.parametrize("args", [
+    ["eval"],                                  # missing PATH
+    ["eval", "{slh}", "--axis", "bogus"],      # not a choice
+    ["eval", "{slh}", "--bogus"],              # unknown option
+    ["nosuchcmd"],                             # unknown command
+    ["limit", "{fam}", "--study"],             # option without its value
+    ["--bogus"],                               # unknown option of slhkit itself
+], ids=["missing-path", "bad-choice", "unknown-option", "unknown-command", "no-value",
+        "unknown-main-option"])
+def test_cli_usage_errors_exit_one(cli_files, args):
+    # click's own usage text, with the exit code of slhkit's argument refusals
+    res = CliRunner().invoke(main, [arg.format(**cli_files) for arg in args])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith("Error: ")

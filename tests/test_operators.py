@@ -8,6 +8,7 @@ from slhkit import (
     ShapeError,
     SingularMatrix,
     annihilator,
+    condition_estimate,
     dagger,
     identity,
     inverse,
@@ -19,6 +20,7 @@ from slhkit import (
     pauli,
     projector,
 )
+from slhkit.operators import solve
 from conftest import random_complex
 
 
@@ -81,6 +83,17 @@ def test_inverse_cond_limit_enforced():
     inverse(np.diag([1.0, 1e-8]).astype(complex))  # cond ~ 1e8 passes the one limit
     with pytest.raises(SingularMatrix):
         inverse(np.diag([1.0, 1e-13]).astype(complex))  # cond ~ 1e13 does not
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_solve_refuses_a_non_finite_matrix(entry):
+    # an overflowed generator is refused like a singular one, not by a scipy ValueError
+    A = identity(3)
+    A[1, 2] = entry
+    with pytest.raises(SingularMatrix) as info:
+        solve(A, np.ones(3))
+    assert info.value.cond_estimate == np.inf
+    assert condition_estimate(A) == np.inf
 
 
 def test_inverse_residual_scales_with_condition(rng):

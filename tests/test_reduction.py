@@ -87,8 +87,10 @@ def test_partition_validation():
         BlockPartition(dim=3, slow_indices=())
     with pytest.raises(BadParam):
         BlockPartition(dim=3, slow_indices=(0, 1, 2))
-    with pytest.raises(BadParam):
-        BlockPartition(dim=3, slow_indices=(0,), fast_indices=(0, 1, 2))
+    with pytest.raises(BadParam, match="distinct"):
+        BlockPartition(dim=3, slow_indices=(0, 0))
+    with pytest.raises(BadParam, match="cover"):
+        BlockPartition(dim=3, slow_indices=(0, 3))
 
 
 def test_schur_feshbach_decoupled_blocks():
