@@ -48,7 +48,7 @@ def main():
           f"(A_ff condition {report.aff_condition:.2e})")
     shifted = params["omega0"] - abs(params["beta"]) ** 2 / params["delta"]
     s = 0.9
-    T = sk.limit_char_op(fam, s).data
+    T = sk.limit_char_op(fam, s)
     want = (s - 0.5 * params["gamma"] + 1j * shifted) \
         / (s + 0.5 * params["gamma"] + 1j * shifted)
     r = abs(T[1, 1] - want)

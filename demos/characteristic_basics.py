@@ -45,15 +45,15 @@ def main():
     print("damping generator K = -1/2 L*L - iH (diagonal here):")
     print(np.round(K, 6))
     V = sk.model_matrix(model)
-    print(f"model matrix: {V.n_blocks_row}x{V.n_blocks_col} blocks of "
-          f"{V.block_dim}x{V.block_dim}")
+    m = model.dim
+    print(f"model matrix: {V.shape[0] // m}x{V.shape[1] // m} blocks of {m}x{m}")
     print()
 
     s = 0.8 + 0.5j
-    T_direct = sk.char_op(model, s).data
-    T_allpass = sk.char_op_allpass(model, s).data
+    T_direct = sk.char_op(model, s)
+    T_allpass = sk.char_op_allpass(model, s)
     coeffs = sk.ito_to_stratonovich(model)
-    T_strat = sk.char_op_stratonovich(coeffs, s).data
+    T_strat = sk.char_op_stratonovich(coeffs, s)
     oracle = sk.zoo.closed_form_char("thermal_qubit", params, s)
 
     r_allpass = sk.max_abs(T_allpass - T_direct)

@@ -55,8 +55,8 @@ def main():
     print()
 
     s = 1.0
-    T_casc = sk.char_op(cascade, s).data
-    T_tensor = sk.kron(sk.char_op(down, s).data, sk.char_op(up, s).data)
+    T_casc = sk.char_op(cascade, s)
+    T_tensor = sk.kron(sk.char_op(down, s), sk.char_op(up, s))
     gap = sk.max_abs(T_casc - T_tensor)
     print(f"||T_cascade - T_down (x) T_up|| at s = {s}: {gap:.3f}")
     print("(the characteristic operator does not tensor-multiply)")

@@ -55,9 +55,9 @@ def main():
     print("3. evaluation from coefficients")
     print("-------------------------------")
     s = 0.8 + 0.4j
-    r_route = sk.max_abs(sk.char_op_stratonovich(E, s).data
-                         - sk.char_op(model, s).data)
-    r_hf = sk.max_abs(sk.char_op_stratonovich(E, 1e8).data - sk.cayley(E.Ell))
+    r_route = sk.max_abs(sk.char_op_stratonovich(E, s)
+                         - sk.char_op(model, s))
+    r_hf = sk.max_abs(sk.char_op_stratonovich(E, 1e8) - sk.cayley(E.Ell))
     print(f"  agreement with the direct route at s = {s}: {r_route:.3e}")
     print(f"  high-frequency limit vs Cayley(Ell):        {r_hf:.3e}")
     overall &= r_route <= 1e-10 and r_hf <= 1e-6
@@ -74,7 +74,7 @@ def main():
     print(f"  limit scattering unitarity residual: {unit_res:.3e}")
     errs = []
     for k in (1e2, 1e3):
-        T_k = sk.char_op_stratonovich(family.coefficients_at(k), 0.9).data
+        T_k = sk.char_op_stratonovich(family.coefficients_at(k), 0.9)
         errs.append(sk.max_abs(T_k - S_hat))
         print(f"  k = {k:>6g}: ||T_k - S_hat|| = {errs[-1]:.3e}")
     overall &= unit_res <= 1e-10 and errs[1] < errs[0] / 10

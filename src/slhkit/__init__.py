@@ -34,7 +34,6 @@ from .operators import (
     projector,
 )
 from .model import (
-    BlockOperatorMatrix,
     HeisenbergCoefficients,
     LinearPassiveSpec,
     SLHModel,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .characteristic import char_op, singular_at
 from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
-from .model import BlockOperatorMatrix, SLHModel, _check_fields
+from .model import SLHModel, _check_fields
 from .operators import (
     DEFAULT_TOL,
     as_matrix,
@@ -257,14 +257,13 @@ def _pencil_char_op(p: _SlowFirst, s, eps: float) -> np.ndarray:
     return p.S - G @ X
 
 
-def limit_char_op(family: ScaledSLHFamily, s) -> BlockOperatorMatrix:
+def limit_char_op(family: ScaledSLHFamily, s) -> np.ndarray:
     """Limit characteristic operator That(s), the balanced pencil at eps = 0.
 
     There N = [[s - R_ss, -Z_sf], [-Z_fs, -A_ff]], whose Schur complement in
     A_ff is s - Khat_ss.
     """
-    return BlockOperatorMatrix(_pencil_char_op(_require_assumptions(family), s, 0.0),
-                               family.dim)
+    return _pencil_char_op(_require_assumptions(family), s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -376,11 +375,11 @@ def check_decoupling(limit: LimitModel):
         slow_model = limit.slow_model
         if slow_model is None:  # possible after limit_slh with a tighter tol
             slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part)
-        Tb = partition_operator(char_op(limit.as_model(), 1.0).data, part)
+        Tb = partition_operator(char_op(limit.as_model(), 1.0), part)
         block_res = max(
             max_abs(Tb.X_sf),
             max_abs(Tb.X_fs),
-            max_abs(Tb.X_ss - char_op(slow_model, 1.0).data),
+            max_abs(Tb.X_ss - char_op(slow_model, 1.0)),
             max_abs(Tb.X_ff - partition_operator(limit.Shat, part).X_ff),
         )
         if block_res > DEFAULT_TOL:

@@ -32,7 +32,7 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrcon
 
 from .errors import ResolventSingular, ShapeError, SingularMatrix
-from .model import BlockOperatorMatrix, SLHModel, k_operator
+from .model import SLHModel, k_operator
 from .operators import (
     DEFAULT_TOL,
     as_matrix,
@@ -40,7 +40,6 @@ from .operators import (
     guard_cond,
     inverse,
     is_unitary,
-    max_abs,
     solve,
 )
 from .stratonovich import ito_to_stratonovich
@@ -67,9 +66,9 @@ def resolvent_solve(M, s, B=None) -> np.ndarray:
         return inverse(A) if B is None else solve(A, B)
 
 
-def char_op(model: SLHModel, s) -> BlockOperatorMatrix:
-    """Direct evaluation T(s) = S - L (s - K)^-1 L* S."""
-    return BlockOperatorMatrix(_char_op_entries(model, s), model.dim)
+def char_op(model: SLHModel, s) -> np.ndarray:
+    """Direct evaluation T(s) = S - L (s - K)^-1 L* S (nm x nm)."""
+    return _char_op_entries(model, s)
 
 
 def _char_op_entries(model: SLHModel, s, rows=slice(None), cols=slice(None)) -> np.ndarray:
@@ -78,35 +77,33 @@ def _char_op_entries(model: SLHModel, s, rows=slice(None), cols=slice(None)) -> 
     return model.S[rows][:, cols] - model.L[rows] @ X
 
 
-def sigma_kernel(model: SLHModel, s) -> BlockOperatorMatrix:
+def sigma_kernel(model: SLHModel, s) -> np.ndarray:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
-    R = resolvent_solve(-1j * model.H, s)
-    return BlockOperatorMatrix(model.L @ R @ dagger(model.L), model.dim)
+    return model.L @ resolvent_solve(-1j * model.H, s) @ dagger(model.L)
 
 
-def char_op_allpass(model: SLHModel, s) -> BlockOperatorMatrix:
-    """All-pass evaluation T(s) = (1 - Sigma/2)(1 + Sigma/2)^-1 S."""
-    Sig = sigma_kernel(model, s).data
+def char_op_allpass(model: SLHModel, s) -> np.ndarray:
+    """All-pass evaluation T(s) = (1 - Sigma/2)(1 + Sigma/2)^-1 S (nm x nm)."""
+    Sig = sigma_kernel(model, s)
     I = np.eye(Sig.shape[0], dtype=complex)
     with singular_at(s, "(1 + Sigma/2) not invertible"):
         denom = inverse(I + 0.5 * Sig)
-    return BlockOperatorMatrix((I - 0.5 * Sig) @ denom @ model.S, model.dim)
+    return (I - 0.5 * Sig) @ denom @ model.S
 
 
-def char_op_stratonovich(coeffs, s) -> BlockOperatorMatrix:
-    """Evaluate T(s) from Stratonovich coefficients.
+def char_op_stratonovich(coeffs, s) -> np.ndarray:
+    """Evaluate T(s) (nm x nm) from Stratonovich coefficients.
 
     With X(s) = (i/2) Ell + 1/2 El0 (s + i E00)^-1 E0l, the characteristic
     operator is (I - X)(I + X)^-1; its |s| -> infinity limit is the Cayley
     transform of Ell, i.e. the scattering matrix.
     """
-    E00 = coeffs.E00
-    R = resolvent_solve(-1j * E00, s)
+    R = resolvent_solve(-1j * coeffs.E00, s)
     X = 0.5j * coeffs.Ell + 0.5 * coeffs.El0 @ R @ coeffs.E0l
     I = np.eye(X.shape[0], dtype=complex)
     with singular_at(s, "(I + X(s)) not invertible"):
         denom = inverse(I + X)
-    return BlockOperatorMatrix((I - X) @ denom, E00.shape[0])
+    return (I - X) @ denom
 
 
 def transfer_function(abcd_matrices, s) -> np.ndarray:
@@ -118,54 +115,64 @@ def transfer_function(abcd_matrices, s) -> np.ndarray:
 
 def unitarity_check(model: SLHModel, omega: float):
     """Check T(i w)* T(i w) = T(i w) T(i w)* = I; return (ok, residual)."""
-    T = char_op(model, 1j * omega).data
+    T = char_op(model, 1j * omega)
     r = max(is_unitary(T)[1], is_unitary(dagger(T))[1])
     return r <= DEFAULT_TOL, r
 
 
-def _vacuum_indices(n_blocks: int, block_dim: int, dims, vacuum_modes) -> np.ndarray:
-    """Flat indices of the block rows (or columns) that <0|...|0> keeps.
+def _vacuum_indices(size: int, dims, vacuum_modes) -> np.ndarray:
+    """Flat indices of the rows (or columns) that <0|...|0> keeps.
 
-    Block by block, the kept tensor factors run in C order with every
-    factor in ``vacuum_modes`` held at 0; ShapeError when ``dims`` does not
-    factor ``block_dim`` or a vacuum mode is not one of its factors.
+    The axis of ``size`` entries is a stack of blocks of ``prod(dims)``
+    entries.  Block by block, the kept tensor factors run in C order with
+    every factor in ``vacuum_modes`` held at 0; ShapeError when
+    ``prod(dims)`` does not divide ``size`` or a vacuum mode is not one of
+    its factors.
     """
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != block_dim:
-        raise ShapeError(f"product of dims {dims} must equal block dim {block_dim}")
+    m = int(np.prod(dims))
+    if min(dims, default=1) < 1 or size % m:
+        raise ShapeError(f"product of dims {dims} must divide the axis length {size}")
     nf = len(dims)
     vacuum_modes = range(nf) if vacuum_modes is None else {int(i) for i in vacuum_modes}
     if not all(0 <= v < nf for v in vacuum_modes):
         raise ShapeError(f"vacuum_modes {sorted(vacuum_modes)} must lie in [0, {nf})")
     idx = [0 if v in vacuum_modes else slice(None) for v in range(nf)]
-    return np.arange(n_blocks * block_dim).reshape(n_blocks, *dims)[(slice(None), *idx)].ravel()
+    return np.arange(size).reshape(size // m, *dims)[(slice(None), *idx)].ravel()
 
 
-def vacuum_expectation(block_matrix: BlockOperatorMatrix, dims, vacuum_modes=None) -> np.ndarray:
+def vacuum_expectation(T, dims, vacuum_modes=None) -> np.ndarray:
     """Contract selected tensor factors of each plant block with the vacuum.
 
-    ``dims`` lists the dimension of each tensor factor of the plant space
-    (product must equal the block dimension); ``vacuum_modes`` selects which
-    factors are evaluated in <0|...|0> (default: all).  Returns an n x n
-    scalar matrix when every factor is contracted, otherwise a block matrix
-    of operators on the remaining factors.
+    ``T`` is a matrix of plant blocks of size ``prod(dims)``, where ``dims``
+    lists the dimension of each tensor factor of the plant space;
+    ``vacuum_modes`` selects which factors are evaluated in <0|...|0>
+    (default: all).  Returns an n x n scalar matrix when every factor is
+    contracted, otherwise a block matrix of operators on the remaining
+    factors.  ShapeError unless ``prod(dims)`` divides both axes of ``T``;
+    a bare array cannot reveal a wrong ``dims`` whose product divides the
+    true block size, so :func:`vacuum_expectation_char` checks against the
+    model's plant dimension instead.
     """
-    m = block_matrix.block_dim
-    rows = _vacuum_indices(block_matrix.n_blocks_row, m, dims, vacuum_modes)
-    cols = _vacuum_indices(block_matrix.n_blocks_col, m, dims, vacuum_modes)
-    return block_matrix.data[np.ix_(rows, cols)]
+    T = np.asarray(T)
+    rows = _vacuum_indices(T.shape[0], dims, vacuum_modes)
+    cols = _vacuum_indices(T.shape[1], dims, vacuum_modes)
+    return T[np.ix_(rows, cols)]
 
 
 def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None) -> np.ndarray:
     """Vacuum matrix elements <0|T(s)_jk|0> of the characteristic operator.
 
-    Only the kept rows and columns of T(s) are formed.
+    Only the kept rows and columns of T(s) are formed; ShapeError unless
+    ``prod(dims)`` equals the plant dimension.
     """
-    keep = _vacuum_indices(model.n_inputs, model.dim, dims, vacuum_modes)
+    if int(np.prod(dims)) != model.dim:
+        raise ShapeError(f"product of dims {tuple(dims)} must equal the plant dim {model.dim}")
+    keep = _vacuum_indices(model.n_inputs * model.dim, dims, vacuum_modes)
     return _char_op_entries(model, s, keep, keep)
 
 
-def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> BlockOperatorMatrix:
+def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> np.ndarray:
     """Neumann series for the Hamiltonian perturbation H = H0 + lam * V.
 
     T(s) = T0(s) - sum_{q=1}^{order} (-i lam)^q  L R0 (V R0)^q L* S,
@@ -184,7 +191,7 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> Block
     for q in range(1, order + 1):
         W = W @ V @ R0
         T = T - (-1j * lam) ** q * (model0.L @ W @ LS)
-    return BlockOperatorMatrix(T, model0.dim)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +227,9 @@ class SweepResult:
 
     ``values[i]`` is None exactly when point i failed; failures lists
     (point, error message) pairs in grid order.  A sweep over the whole
-    operator holds BlockOperatorMatrix values; one with a row/column
-    selection holds ``len(rows) x len(cols)`` arrays of T[rows][:, cols]
-    and records the selection in ``rows`` and ``cols`` (None: every index).
+    operator holds nm x nm arrays; one with a row/column selection holds
+    ``len(rows) x len(cols)`` arrays of T[rows][:, cols] and records the
+    selection in ``rows`` and ``cols`` (None: every index).
     """
 
     grid: FrequencyGrid
@@ -244,7 +251,7 @@ class SweepResult:
         if self.rows is not None or self.cols is not None:
             raise ShapeError("unitarity residuals need the whole T(s); "
                              "this sweep holds a row/column selection")
-        return tuple(float("nan") if T is None else is_unitary(T.data)[1]
+        return tuple(float("nan") if T is None else is_unitary(T)[1]
                      for T in self.values)
 
 
@@ -350,16 +357,14 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct", *,
     pick_cols = slice(None) if cols is None else list(cols)
     selected = rows is not None or cols is not None
     if method == "direct":
-        entries = _schur_char_op(model, pick_rows, pick_cols)
-        evaluate = entries if selected else (
-            lambda s: BlockOperatorMatrix(entries(s), model.dim))
+        evaluate = _schur_char_op(model, pick_rows, pick_cols)
     else:
         if method == "stratonovich":
             coeffs = ito_to_stratonovich(model)
             full = lambda s: char_op_stratonovich(coeffs, s)
         else:
             full = lambda s: char_op_allpass(model, s)
-        evaluate = (lambda s: full(s).data[pick_rows][:, pick_cols]) if selected else full
+        evaluate = (lambda s: full(s)[pick_rows][:, pick_cols]) if selected else full
 
     values = []
     failures = []

@@ -49,7 +49,10 @@ class _Refusal(click.ClickException):
 
 
 class _Main(click.Group):
-    """Click's usage errors keep their text but exit 1, like slhkit's own refusals."""
+    """Click's usage errors keep their text but exit 1, like slhkit's own refusals.
+
+    Every command runs with numpy's floating-point warnings off.
+    """
 
     def make_context(self, *args, **kwargs):
         try:
@@ -60,7 +63,10 @@ class _Main(click.Group):
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            # the guards refuse non-finite matrices; numpy's warnings about
+            # forming them would only add lines to stderr
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return super().invoke(ctx)
         except click.UsageError as exc:  # an unknown command or a command's bad arguments
             exc.exit_code = EXIT_VALIDATION
             raise
@@ -212,7 +218,7 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
                 ito_to_stratonovich(model), s),
         }
         try:
-            matrices = [evaluators[method](z).data]
+            matrices = [evaluators[method](z)]
             statuses = ["ok"]
         except SingularMatrix as exc:
             matrices = [None]
@@ -343,6 +349,8 @@ def cmd_compose(downstream_path, upstream_path, out_path):
         composed = series_product(B, A)
     except ShapeError as exc:
         raise _Refusal(str(exc))
+    except BadParam as exc:  # a product of two finite models overflowed
+        raise _Refusal(f"series product overflowed: {exc}", EXIT_NUMERICAL)
     _write_text(out_path, modelfile.dumps(composed))
     click.echo(f"wrote {out_path} (n_inputs={composed.n_inputs}, dim={composed.dim})")
 

@@ -39,41 +39,6 @@ from .operators import (
 
 
 @dataclass(frozen=True)
-class BlockOperatorMatrix:
-    """A grid of equally sized operator blocks stored as one dense matrix.
-
-    Carries the characteristic operator T(s), the all-pass kernel Sigma(s)
-    and the model matrix.
-    """
-
-    data: np.ndarray
-    block_dim: int
-
-    def __post_init__(self):
-        data = as_matrix(self.data, "block matrix data")
-        object.__setattr__(self, "data", data)
-        d = self.block_dim
-        if d < 1 or data.shape[0] % d or data.shape[1] % d:
-            raise ShapeError(
-                f"block matrix data has shape {data.shape}, "
-                f"not a grid of {d} x {d} blocks"
-            )
-
-    @property
-    def n_blocks_row(self) -> int:
-        return self.data.shape[0] // self.block_dim
-
-    @property
-    def n_blocks_col(self) -> int:
-        return self.data.shape[1] // self.block_dim
-
-    def block(self, j: int, k: int) -> np.ndarray:
-        """The (j, k) operator block (block_dim x block_dim)."""
-        d = self.block_dim
-        return self.data[j * d:(j + 1) * d, k * d:(k + 1) * d]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Residuals from validating an SLH triple (report style, never raises)."""
 
@@ -192,15 +157,15 @@ def k_operator(model: SLHModel) -> np.ndarray:
     return -0.5 * dagger(model.L) @ model.L - 1j * model.H
 
 
-def model_matrix(model: SLHModel) -> BlockOperatorMatrix:
-    """The (n+1) x (n+1) block matrix [[K, -L*S], [L, S]] with m x m blocks."""
+def model_matrix(model: SLHModel) -> np.ndarray:
+    """The (n+1)m x (n+1)m matrix [[K, -L*S], [L, S]] of m x m blocks."""
     n, m = model.n_inputs, model.dim
     V = np.zeros(((n + 1) * m, (n + 1) * m), dtype=complex)
     V[:m, :m] = k_operator(model)
     V[:m, m:] = -dagger(model.L) @ model.S
     V[m:, :m] = model.L
     V[m:, m:] = model.S
-    return BlockOperatorMatrix(V, m)
+    return V
 
 
 def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:

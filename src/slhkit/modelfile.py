@@ -41,7 +41,7 @@ import numpy as np
 
 from .adiabatic import ScaledSLHFamily
 from .errors import SlhkitError
-from .model import BlockOperatorMatrix, SLHModel, field_shape
+from .model import SLHModel, field_shape
 from .reduction import BlockPartition
 from .stratonovich import StratonovichCoefficients
 
@@ -282,10 +282,8 @@ def from_sweep_result(sweep_result):
     """(s_values, matrices, statuses) columns from a SweepResult."""
     messages = (msg for _, msg in sweep_result.failures)  # grid order
     s_values = list(sweep_result.grid.s_values())
-    matrices = [v.data if isinstance(v, BlockOperatorMatrix) else v  # arrays when selected
-                for v in sweep_result.values]
     statuses = ["ok" if v is not None else next(messages) for v in sweep_result.values]
-    return s_values, matrices, statuses
+    return s_values, list(sweep_result.values), statuses
 
 
 def sweep_rows(s_values, matrices, statuses, n_inputs: int, dim: int):

@@ -247,7 +247,7 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
 
     def residual(s):
         blocks = char_blocks(full, partition, s)
-        Tc = char_op(candidate, s).data
+        Tc = char_op(candidate, s)
         return max(max_abs(blocks.X_ss - Tc), max_abs(blocks.X_sf),
                    max_abs(blocks.X_fs), max_abs(blocks.X_ff - I_f))
 

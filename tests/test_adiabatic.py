@@ -186,14 +186,14 @@ def test_limit_char_op_detuned_closed_form():
     params = dict(gamma=0.9, kappa=0.3, delta=2.2, beta=1.1 + 0.4j, omega0=0.6)
     fam = zoo.build("detuned_two_level", **params)
     for s in (0.5, 1.0 + 0.8j, 3.0):
-        T = limit_char_op(fam, s).data
+        T = limit_char_op(fam, s)
         Z = zoo.closed_form_char("detuned_two_level", params, s)
         assert max_abs(T - Z) <= 1e-10
     # the Stratonovich route has a removable pole here; the pencil does not
     params = dict(gamma=1.0, kappa=0.3, delta=4.0, beta=2.0, omega0=1.0)
     fam = zoo.build("detuned_two_level", **params)
     Z = zoo.closed_form_char("detuned_two_level", params, 0.0)
-    assert max_abs(limit_char_op(fam, 0.0).data - Z) <= 1e-10
+    assert max_abs(limit_char_op(fam, 0.0) - Z) <= 1e-10
 
 
 def test_limit_char_op_zero_at_matched_shift():
@@ -201,7 +201,7 @@ def test_limit_char_op_zero_at_matched_shift():
     # ground-state entry vanishes at s = gamma/2
     params = dict(gamma=1.3, kappa=0.4, delta=4.0, beta=2.0, omega0=1.0)
     fam = zoo.build("detuned_two_level", **params)
-    T = limit_char_op(fam, 0.5 * params["gamma"]).data
+    T = limit_char_op(fam, 0.5 * params["gamma"])
     assert abs(T[1, 1]) <= 1e-12
     assert abs(T[0, 0] - 1.0) <= 1e-12
 
@@ -214,7 +214,7 @@ def test_limit_char_op_lossless_family_returns_scattering(rng):
     fam = ScaledSLHFamily(S=S, L0=np.zeros((3, 3)), L1=np.zeros((3, 3)),
                           H0=np.zeros((3, 3)), H1=np.zeros((3, 3)), H2=H2,
                           partition=part)
-    assert max_abs(limit_char_op(fam, 0.8).data - S) <= 1e-12
+    assert max_abs(limit_char_op(fam, 0.8) - S) <= 1e-12
 
 
 def test_limit_requires_assumptions():
@@ -411,9 +411,9 @@ def test_convergence_study_matches_assembled_models(seed, n_inputs, contiguous):
     s = complex(rng.uniform(0.3, 2.0), rng.uniform(-2.0, 2.0))
     ks = [1e2, 1e3, 1e4, 1e5]
     study = convergence_study(fam, s, ks)
-    That = limit_char_op(fam, s).data
+    That = limit_char_op(fam, s)
     for k, err in study.rows():
-        want = max_abs(char_op(assemble_k(fam, k), s).data - That)
+        want = max_abs(char_op(assemble_k(fam, k), s) - That)
         assert abs(err - want) <= 1e-12, (k, err, want)
 
 
@@ -434,9 +434,9 @@ def test_convergence_study_small_k_and_invalid_k():
     # below k = 1 the pencil is s - K(k) itself, down to k = 1e-200
     fam = zoo.build("lambda_system", n_max=5)
     study = convergence_study(fam, 1.0, [1e-200, 1e-9, 1e-3, 0.5])
-    That = limit_char_op(fam, 1.0).data
+    That = limit_char_op(fam, 1.0)
     for k, err in study.rows():
-        want = max_abs(char_op(assemble_k(fam, k), 1.0).data - That)
+        want = max_abs(char_op(assemble_k(fam, k), 1.0) - That)
         assert abs(err - want) <= 1e-12, (k, err, want)
     for bad in (0.0, -10.0, float("nan"), float("inf")):
         with pytest.raises(BadParam, match="finite and > 0"):
@@ -469,11 +469,11 @@ def test_limit_consistency_on_random_families(rng):
         assert limit.hhat_alt_residual <= 1e-10
         for _ in range(3):
             s = complex(rng.uniform(0.3, 2.0), rng.uniform(-2, 2))
-            T_direct = limit_char_op(fam, s).data
-            T_triple = char_op(limit.as_model(), s).data
+            T_direct = limit_char_op(fam, s)
+            T_triple = char_op(limit.as_model(), s)
             assert max_abs(T_direct - T_triple) <= 1e-9
         # high-|s| limit returns the limit scattering matrix
-        assert max_abs(limit_char_op(fam, 1e6).data - limit.Shat) <= 1e-3
+        assert max_abs(limit_char_op(fam, 1e6) - limit.Shat) <= 1e-3
 
 
 def test_slow_indices_from_kernel_examples(rng):

@@ -7,7 +7,6 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from slhkit import (
-    BlockOperatorMatrix,
     BlockPartition,
     FrequencyGrid,
     ResolventSingular,
@@ -26,6 +25,7 @@ from slhkit import (
     kron,
     limit_char_op,
     max_abs,
+    model_matrix,
     partition_operator,
     pauli,
     perturbation_series,
@@ -51,12 +51,12 @@ from oracles import strat_adiabatic_limit
 def test_char_op_lossless_is_constant_scattering(rng):
     model = zoo.build("lossless", dim=3, n_inputs=2, phase=0.7, h_scale=2.0)
     for s in (0.5, 2.0 + 1j, 10.0 - 3j):
-        assert max_abs(char_op(model, s).data - model.S) <= 1e-14
+        assert max_abs(char_op(model, s) - model.S) <= 1e-14
 
 
 def test_char_op_thermal_qubit_point_value():
     model = zoo.build("thermal_qubit", gamma=1.0, n=0.0, omega=0.0)
-    T = char_op(model, 1.0).data
+    T = char_op(model, 1.0)
     assert max_abs(T - np.diag([1.0, 1.0 / 3.0])) <= 1e-14
 
 
@@ -74,7 +74,7 @@ def test_char_op_detuned_two_level_displayed_resolvent():
         [-0.5 * np.sqrt(k_ * g) + 1j * np.conj(b), s + 0.5 * g + 1j * w0],
     ])
     expected = identity(2) - L @ inverse(M) @ dagger(L)
-    assert max_abs(char_op(model, s).data - expected) <= 1e-12
+    assert max_abs(char_op(model, s) - expected) <= 1e-12
 
 
 def test_char_op_raises_on_spectrum():
@@ -87,14 +87,14 @@ def test_char_op_raises_on_spectrum():
 def test_allpass_matches_direct_and_qnd_form(rng):
     model = random_model(rng, 2, 3)
     s = 0.8 + 0.4j
-    assert max_abs(char_op_allpass(model, s).data - char_op(model, s).data) <= 1e-10
+    assert max_abs(char_op_allpass(model, s) - char_op(model, s)) <= 1e-10
 
     # QND case [L, H] = 0: (s - LL*/2 + iH)(s + LL*/2 + iH)^-1 S
     g, w = 1.3, 0.7
     L = np.sqrt(g) * pauli("z")
     H = w * pauli("z")
     qnd = SLHModel(S=random_unitary(rng, 2), L=L, H=H)
-    T = char_op_allpass(qnd, s).data
+    T = char_op_allpass(qnd, s)
     num = s * identity(2) - 0.5 * L @ dagger(L) + 1j * H
     den = s * identity(2) + 0.5 * L @ dagger(L) + 1j * H
     assert max_abs(T - num @ inverse(den) @ qnd.S) <= 1e-12
@@ -102,20 +102,20 @@ def test_allpass_matches_direct_and_qnd_form(rng):
 
 def test_allpass_lossless_gives_scattering(rng):
     model = zoo.build("lossless", dim=2, n_inputs=2, phase=0.3)
-    assert max_abs(char_op_allpass(model, 1.5).data - model.S) <= 1e-14
+    assert max_abs(char_op_allpass(model, 1.5) - model.S) <= 1e-14
 
 
 def test_stratonovich_zero_coefficients_give_identity():
     E = coefficients_from_parts(E00=np.zeros((2, 2)), El0=np.zeros((2, 2)),
                                 Ell=np.zeros((2, 2)))
-    assert max_abs(char_op_stratonovich(E, 0.9).data - identity(2)) == 0.0
+    assert max_abs(char_op_stratonovich(E, 0.9) - identity(2)) == 0.0
 
 
 def test_stratonovich_high_frequency_limit_is_cayley(rng):
     from slhkit import cayley
     model = random_model(rng, 1, 3)
     E = ito_to_stratonovich(model)
-    T = char_op_stratonovich(E, 1e8).data
+    T = char_op_stratonovich(E, 1e8)
     assert max_abs(T - cayley(E.Ell)) <= 1e-6
 
 
@@ -124,8 +124,8 @@ def test_stratonovich_route_agrees_on_thermal_qubit():
                       phi_plus=0.4, phi_minus=2.0)
     E = ito_to_stratonovich(model)
     for s in (0.5, 1.0 + 0.8j, 3.0 - 0.2j):
-        assert max_abs(char_op_stratonovich(E, s).data
-                       - char_op(model, s).data) <= 1e-9
+        assert max_abs(char_op_stratonovich(E, s)
+                       - char_op(model, s)) <= 1e-9
 
 
 def test_transfer_function_examples():
@@ -213,13 +213,13 @@ def _vacuum_reference(data, m, dims, vacuum_modes):
 def test_vacuum_expectation_matches_per_block_contraction(rng, vacuum_modes):
     dims = (2, 3, 2)
     data = rng.standard_normal((2 * 12, 3 * 12)) + 1j * rng.standard_normal((2 * 12, 3 * 12))
-    got = vacuum_expectation(BlockOperatorMatrix(data, 12), dims, vacuum_modes)
+    got = vacuum_expectation(data, dims, vacuum_modes)
     assert np.array_equal(got, _vacuum_reference(data, 12, dims, vacuum_modes))
 
 
 @pytest.mark.parametrize("vacuum_modes", [(2,), (5,), (-1,), (0, 2)])
 def test_vacuum_expectation_rejects_modes_out_of_range(vacuum_modes):
-    T = BlockOperatorMatrix(identity(12), 6)
+    T = identity(12)
     with pytest.raises(ShapeError, match=r"\[0, 2\)"):
         vacuum_expectation(T, (2, 3), vacuum_modes)
     with pytest.raises(ShapeError, match=r"\[0, 2\)"):
@@ -244,19 +244,19 @@ def test_perturbation_series_examples():
     V = pauli("x")
     s = 1.0 + 0.3j
 
-    T0 = perturbation_series(model, V, lam=0.0, order=5, s=s).data
-    assert max_abs(T0 - char_op(model, s).data) <= 1e-14
+    T0 = perturbation_series(model, V, lam=0.0, order=5, s=s)
+    assert max_abs(T0 - char_op(model, s)) <= 1e-14
 
     lam = 0.01
-    exact = char_op(SLHModel(S=model.S, L=model.L, H=model.H + lam * V), s).data
-    T8 = perturbation_series(model, V, lam=lam, order=8, s=s).data
+    exact = char_op(SLHModel(S=model.S, L=model.L, H=model.H + lam * V), s)
+    T8 = perturbation_series(model, V, lam=lam, order=8, s=s)
     assert max_abs(T8 - exact) <= 1e-9
 
     # first-order term enters with +i lam L R0 V R0 L* S
     R0 = inverse(s * identity(2) - k_operator(model))
-    first = (char_op(model, s).data
+    first = (char_op(model, s)
              + 1j * lam * model.L @ R0 @ V @ R0 @ dagger(model.L) @ model.S)
-    T1 = perturbation_series(model, V, lam=lam, order=1, s=s).data
+    T1 = perturbation_series(model, V, lam=lam, order=1, s=s)
     assert max_abs(T1 - first) <= 1e-14
 
 
@@ -269,7 +269,7 @@ def test_sweep_thermal_qubit_clean_and_consistent():
 
     allpass = sweep(model, grid, method="allpass")
     worst = max(
-        max_abs(a.data - b.data)
+        max_abs(a - b)
         for a, b in zip(direct.values, allpass.values)
     )
     assert worst <= 1e-9
@@ -296,11 +296,11 @@ def test_rotation_covariance_and_gauge_invariance(rng):
     model = random_model(rng, 2, 3)
     V = random_unitary(rng, 3)
     s = 0.6 + 0.9j
-    T = char_op(model, s).data
+    T = char_op(model, s)
     Vn = kron(identity(2), V)
-    T_rot = char_op(rotate(model, V), s).data
+    T_rot = char_op(rotate(model, V), s)
     assert max_abs(T_rot - dagger(Vn) @ T @ Vn) <= 1e-10
-    T_gauge = char_op(gauge(model, V), s).data
+    T_gauge = char_op(gauge(model, V), s)
     assert max_abs(T_gauge - T) <= 1e-10
 
 
@@ -308,7 +308,7 @@ def test_high_frequency_limit_returns_scattering(rng):
     model = random_model(rng, 2, 3)
     s = 1e6
     bound = 10 * max_abs(model.L) ** 2 / s
-    assert max_abs(char_op(model, s).data - model.S) <= bound
+    assert max_abs(char_op(model, s) - model.S) <= bound
 
 
 def test_cascade_characteristic_operator_not_multiplicative():
@@ -316,8 +316,8 @@ def test_cascade_characteristic_operator_not_multiplicative():
     B = zoo.build("thermal_qubit", gamma=1.0, n=0.0, omega=0.5)
     A = zoo.build("thermal_qubit", gamma=0.6, n=0.3, omega=-0.2)
     s = 1.0
-    T_casc = char_op(series_product(B, A), s).data
-    T_tensor = kron(char_op(B, s).data, char_op(A, s).data)
+    T_casc = char_op(series_product(B, A), s)
+    T_tensor = kron(char_op(B, s), char_op(A, s))
     assert max_abs(T_casc - T_tensor) > 0.01
 
 
@@ -331,16 +331,16 @@ def _assert_sweep_matches_char_op(model, grid, same_zeros=False):
     failed_pointwise = []
     for point, s, value in zip(grid.points, grid.s_values(), res.values):
         try:
-            T = char_op(model, s).data
+            T = char_op(model, s)
         except ResolventSingular:
             failed_pointwise.append(float(point))
             continue
         assert value is not None
-        assert max_abs(value.data - T) <= 1e-12
+        assert max_abs(value - T) <= 1e-12
         if same_zeros:
-            assert np.array_equal(value.data == 0, T == 0)
+            assert np.array_equal(value == 0, T == 0)
         else:  # no exact zero of the pointwise route is lost
-            assert not np.any((T == 0) & (value.data != 0))
+            assert not np.any((T == 0) & (value != 0))
     assert [p for p, _ in res.failures] == failed_pointwise
     finite = [r for r in res.unitarity_residuals if not np.isnan(r)]
     assert len(finite) == len(grid.points) - res.n_failed
@@ -401,7 +401,7 @@ def test_selected_sweep_matches_the_whole_sweep():
         nm = model.n_inputs * model.dim
         whole = sweep(model, wide)
         for s, value in zip(wide.s_values(), whole.values):
-            assert value is None or np.array_equal(value.data, _schur_reference(model, s))
+            assert value is None or np.array_equal(value, _schur_reference(model, s))
         for _ in range(3):
             rows, cols = _draw_selection(rng, nm), _draw_selection(rng, nm)
             part = sweep(model, wide, rows=rows, cols=cols)
@@ -412,8 +412,8 @@ def test_selected_sweep_matches_the_whole_sweep():
                     assert got is None
                     continue
                 assert got.shape == (len(rows), len(cols))
-                tol = 1e-14 * max(1.0, np.linalg.norm(T.data, 2))
-                assert max_abs(got - T.data[rows][:, cols]) <= tol
+                tol = 1e-14 * max(1.0, np.linalg.norm(T, 2))
+                assert max_abs(got - T[rows][:, cols]) <= tol
             with pytest.raises(ShapeError, match="whole T"):
                 part.unitarity_residuals
 
@@ -438,7 +438,7 @@ def test_sweep_points_match_a_fresh_shifted_schur_factor():
             if s == 0:
                 assert T is None and got is None
                 continue
-            assert np.array_equal(T.data, _schur_reference(model, s))
+            assert np.array_equal(T, _schur_reference(model, s))
             assert np.array_equal(got, _schur_reference(model, s, rows, cols))
 
 
@@ -450,7 +450,7 @@ def test_selected_sweep_slices_the_pointwise_routes(rng, method):
     part = sweep(model, grid, method=method, cols=[4, 0, 4])
     assert part.rows is None and part.failures == whole.failures
     for T, got in zip(whole.values, part.values):
-        assert np.array_equal(got, T.data[:, [4, 0, 4]])
+        assert np.array_equal(got, T[:, [4, 0, 4]])
     with pytest.raises(ShapeError, match="whole T"):
         part.unitarity_residuals
 
@@ -559,3 +559,57 @@ def test_every_route_raises_resolvent_singular_on_the_spectrum(route):
     assert info.value.cond_estimate > DEFAULT_COND_LIMIT  # inf passes too
     # just off the pole every route evaluates
     evaluate(s + 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Every evaluation returns the plain array it computes.
+# ---------------------------------------------------------------------------
+
+_TWO_INPUTS = random_model(np.random.default_rng(2501), 2, 3)  # nm = 6
+_GRID = FrequencyGrid(axis="imaginary", points=np.array([-0.4, 0.7, 1.9]))
+_FAMILY_NM = _FAMILY.n_inputs * _FAMILY.dim
+
+_ARRAY_ROUTES = {
+    "char_op": (lambda: [char_op(_TWO_INPUTS, 0.7j)], (6, 6)),
+    "sigma_kernel": (lambda: [sigma_kernel(_TWO_INPUTS, 0.7j)], (6, 6)),
+    "char_op_allpass": (lambda: [char_op_allpass(_TWO_INPUTS, 0.7j)], (6, 6)),
+    "char_op_stratonovich": (
+        lambda: [char_op_stratonovich(ito_to_stratonovich(_TWO_INPUTS), 0.7j)], (6, 6)),
+    "perturbation_series": (
+        lambda: [perturbation_series(_TWO_INPUTS, identity(3), 0.1, 2, 0.7j)], (6, 6)),
+    "limit_char_op": (lambda: [limit_char_op(_FAMILY, 0.7j)], (_FAMILY_NM, _FAMILY_NM)),
+    "model_matrix": (lambda: [model_matrix(_TWO_INPUTS)], (9, 9)),
+    **{f"sweep-{method}": (lambda method=method: sweep(_TWO_INPUTS, _GRID, method).values,
+                           (6, 6))
+       for method in ("direct", "allpass", "stratonovich")},
+    **{f"selected-sweep-{method}": (
+        lambda method=method: sweep(_TWO_INPUTS, _GRID, method,
+                                    rows=[5, 0], cols=[1, 1, 4]).values, (2, 3))
+       for method in ("direct", "allpass", "stratonovich")},
+}
+
+
+def test_every_evaluation_returns_a_plain_array():
+    for route, (evaluate, shape) in _ARRAY_ROUTES.items():
+        values = evaluate()
+        assert values, route
+        for value in values:
+            assert type(value) is np.ndarray and value.shape == shape, route
+    # a bare array carries no block size: vacuum_expectation takes prod(dims),
+    # which must divide both axes
+    for shape, dims in [((12, 12), (5,)), ((12, 18), (4,)), ((18, 12), (2, 2))]:
+        with pytest.raises(ShapeError, match="product of dims"):
+            vacuum_expectation(np.zeros(shape, dtype=complex), dims)
+
+
+def test_every_route_refuses_an_overflowed_generator_pointwise():
+    # entries of 1e160 in L pass the model's finiteness check, but L*L
+    # overflows: each route refuses the point instead of the whole model
+    cavity = zoo.build("linear_passive", n_max=2)
+    huge = SLHModel(S=cavity.S, L=cavity.L * 1e160, H=cavity.H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for route in (char_op, char_op_allpass):
+            with pytest.raises(ResolventSingular):
+                route(huge, 1.0)
+        for method in ("direct", "allpass"):
+            assert sweep(huge, _GRID, method).n_failed == 3

@@ -756,9 +756,10 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
 
 
 # One row per CLI branch: the arguments ({slh}, {fam}, ... name the files of
-# cli_files), SLHKIT_TOL or None, the exit code, and the command's message.
-# A refusal (stream "err") writes exactly that one line to stderr; the other
-# rows write the message as a stdout line and nothing to stderr.
+# cli_files), SLHKIT_TOL or None, the exit code, the command's message and,
+# optionally, a stdout line printed before a refusal.  A refusal (stream
+# "err") writes exactly that one line to stderr; the other rows write the
+# message as a stdout line and nothing to stderr.
 _NOT_WRITABLE = "error: cannot write {missing}/"
 _NO_CAYLEY = ("error: S + 1 is not invertible (condition estimate inf); "
               "no Stratonovich coefficients exist")
@@ -823,6 +824,10 @@ _CLI_BRANCHES = [
      "error: all grid points singular"),
     ("eval-overflow-stratonovich", ["eval", "{huge}", "--method", "stratonovich", "--s", "1"],
      None, 2, "err", "error: all grid points singular"),
+    ("eval-overflow-allpass", ["eval", "{huge}", "--method", "allpass", "--sweep", "-1:1:3"],
+     None, 2, "err", "error: all grid points singular", "evaluated 3 point(s), 3 singular"),
+    ("compose-overflow", ["compose", "{huge}", "{huge}", "--out", "{tmp}/c.json"], None, 2, "err",
+     "error: series product overflowed: H contains non-finite entries"),
     ("limit-overflow-study", ["limit", "{huge_fam}", "--study", "10,100"], None, 2, "err",
      "error: convergence study failed: "),
 ]
@@ -854,16 +859,13 @@ def cli_files(tmp_path_factory):
     return paths
 
 
-def _branch(name, args, *rest):
-    # numpy warns of the overflow in K before slhkit refuses the point
-    overflow = any(arg in ("{huge}", "{huge_fam}") for arg in args)
-    marks = [pytest.mark.filterwarnings("ignore::RuntimeWarning")] if overflow else []
-    return pytest.param(args, *rest, id=name, marks=marks)
+def _branch(name, args, tol_env, code, stream, message, stdout=None):
+    return pytest.param(args, tol_env, code, stream, message, stdout, id=name)
 
 
-@pytest.mark.parametrize("args,tol_env,code,stream,message",
+@pytest.mark.parametrize("args,tol_env,code,stream,message,stdout",
                          [_branch(*case) for case in _CLI_BRANCHES])
-def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, message):
+def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, message, stdout):
     if tol_env is not None:
         monkeypatch.setenv("SLHKIT_TOL", tol_env)
     res = CliRunner().invoke(main, [arg.format(**cli_files) for arg in args])
@@ -878,6 +880,8 @@ def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, messa
     else:
         assert res.exception is None and res.stderr == ""
         assert message in res.stdout.splitlines()
+    if stdout is not None:  # a line the command prints before it refuses
+        assert stdout in res.stdout.splitlines()
 
 
 @pytest.mark.parametrize("args", [

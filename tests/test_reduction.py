@@ -143,7 +143,7 @@ def test_char_blocks_thermal_qubit_block_diagonal():
     blocks = char_blocks(model, part, 1.2)
     assert max_abs(blocks.X_sf) <= 1e-14
     assert max_abs(blocks.X_fs) <= 1e-14
-    T = char_op(model, 1.2).data
+    T = char_op(model, 1.2)
     assert abs(blocks.X_ss[0, 0] - T[1, 1]) <= 1e-12
 
 
@@ -158,7 +158,7 @@ def test_char_blocks_reassembly_matches_char_op(rng):
         s = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
         blocks = char_blocks(model, part, s)
         assert max_abs(reassemble_char_blocks(blocks, model, part)
-                       - char_op(model, s).data) <= 1e-10
+                       - char_op(model, s)) <= 1e-10
 
 
 def test_is_decoupled_cases(rng):

@@ -114,7 +114,7 @@ def test_thermal_qubit_closed_form_point_and_random(rng):
                       phi_minus=rng.uniform(0, 6))
         model = zoo.build("thermal_qubit", **params)
         for s in _sample_points(rng, 5):
-            assert max_abs(char_op(model, s).data
+            assert max_abs(char_op(model, s)
                            - zoo.closed_form_char("thermal_qubit", params, s)) <= 1e-10
 
 
@@ -122,7 +122,7 @@ def test_lossless_closed_form(rng):
     params = dict(dim=3, n_inputs=2, phase=0.8, h_scale=1.5)
     model = zoo.build("lossless", **params)
     for s in _sample_points(rng, 5):
-        assert max_abs(char_op(model, s).data
+        assert max_abs(char_op(model, s)
                        - zoo.closed_form_char("lossless", params, s)) <= 1e-14
 
 
@@ -130,7 +130,7 @@ def test_three_input_qubit_closed_form_and_cancellation(rng):
     params = dict(kappa1=1.0, kappa2=0.7, kappa3=0.4, delta=0.3, alpha=0.5 - 0.2j)
     model = zoo.build("three_input_qubit", **params)
     for s in _sample_points(rng, 10):
-        assert max_abs(char_op(model, s).data
+        assert max_abs(char_op(model, s)
                        - zoo.closed_form_char("three_input_qubit", params, s)) <= 1e-9
 
     # alpha = 0: zero-pole cancellation, performed analytically in the oracle
@@ -138,7 +138,7 @@ def test_three_input_qubit_closed_form_and_cancellation(rng):
     model0 = zoo.build("three_input_qubit", **params0)
     for s in _sample_points(rng, 5):
         Z = zoo.closed_form_char("three_input_qubit", params0, s)
-        assert max_abs(char_op(model0, s).data - Z) <= 1e-9
+        assert max_abs(char_op(model0, s) - Z) <= 1e-9
     # the cancelled form is finite at s = 0 (a removable singularity)
     Z0 = zoo.closed_form_char("three_input_qubit", params0, 0.0)
     assert np.all(np.isfinite(Z0))
@@ -148,7 +148,7 @@ def test_linear_passive_closed_form_below_cutoff(rng):
     params = dict(gamma=1.2, delta=0.4, n_max=6)
     model = zoo.build("linear_passive", **params)
     ideal = zoo.closed_form_char("linear_passive", params, 1.0 + 0.5j)
-    T = char_op(model, 1.0 + 0.5j).data
+    T = char_op(model, 1.0 + 0.5j)
     # every entry below the truncation boundary matches the ideal rational
     assert max_abs(T[:6, :6] - ideal[:6, :6]) <= 1e-12
     # the boundary entry carries the truncation artifact
@@ -164,7 +164,7 @@ def test_linear_passive_truncation_residual_monotone():
         model = zoo.build("linear_passive", n_max=n_max, **params)
         ideal = zoo.closed_form_char("linear_passive",
                                      dict(params, n_max=n_max), s)
-        T = char_op(model, s).data
+        T = char_op(model, s)
         residuals.append(max_abs(T[:window, :window] - ideal[:window, :window]))
     assert residuals[0] > 1e-3          # cutoff 2 clips the window
     assert residuals[1] <= 1e-12        # higher cutoffs are exact there
@@ -175,7 +175,7 @@ def test_detuned_two_level_limit_closed_form(rng):
     params = dict(gamma=1.4, kappa=0.7, delta=3.0, beta=0.9 + 0.5j, omega0=0.4)
     fam = zoo.build("detuned_two_level", **params)
     for s in _sample_points(rng, 10):
-        assert max_abs(limit_char_op(fam, s).data
+        assert max_abs(limit_char_op(fam, s)
                        - zoo.closed_form_char("detuned_two_level", params, s)) <= 1e-10
 
 
@@ -188,7 +188,7 @@ def test_kerr_qubit_limit_closed_form_cutoff_independent(rng):
         rows = fam.partition.stacked_rows(2, "slow")
         blocks = []
         for s in s_pts:
-            T = limit_char_op(fam, s).data[np.ix_(rows, rows)]
+            T = limit_char_op(fam, s)[np.ix_(rows, rows)]
             Z = zoo.closed_form_char("kerr_qubit", dict(params, n_max=n_max), s)
             assert max_abs(T - Z) <= 1e-8
             blocks.append(T)
@@ -205,7 +205,7 @@ def test_kerr_bright_mode_matches_printed_rational(rng):
     v = np.array([np.sqrt(params["kappa1"]), np.sqrt(params["kappa2"])]) / np.sqrt(kappa)
     W = np.kron(v.reshape(2, 1), identity(2))
     for s in _sample_points(rng, 5):
-        T_ss = limit_char_op(fam, s).data[np.ix_(rows, rows)]
+        T_ss = limit_char_op(fam, s)[np.ix_(rows, rows)]
         bright = (dagger(W) @ T_ss @ W)[0, 0]
         assert abs(bright - zoo.kerr_bright_mode_rational(params, s)) <= 1e-10
 
@@ -215,13 +215,13 @@ def test_lambda_limit_closed_form_and_pole(rng):
     fam = zoo.build("lambda_system", **params)
     rows = fam.partition.stacked_rows(1, "slow")
     for s in _sample_points(rng, 10):
-        T_ss = limit_char_op(fam, s).data[np.ix_(rows, rows)]
+        T_ss = limit_char_op(fam, s)[np.ix_(rows, rows)]
         assert max_abs(T_ss - zoo.closed_form_char("lambda_system", params, s)) <= 1e-9
 
     # the bright entry vanishes at s = gamma |alpha|^2 / (2 g^2)
     r = zoo.lambda_pole(params)
     assert r == pytest.approx(0.25)
-    T_ss = limit_char_op(fam, r).data[np.ix_(rows, rows)]
+    T_ss = limit_char_op(fam, r)[np.ix_(rows, rows)]
     assert abs(T_ss[0, 0]) <= 1e-12
 
 
