@@ -31,18 +31,14 @@ from .operators import (
     max_abs,
     number,
     pauli,
-    projector,
 )
 from .model import (
-    HeisenbergCoefficients,
     LinearPassiveSpec,
     SLHModel,
     ValidationReport,
     abcd,
     gauge,
-    heisenberg_coeffs,
     k_operator,
-    mode_operators,
     model_matrix,
     realize_passive,
     rotate,
@@ -69,7 +65,6 @@ from .stratonovich import (
     cayley,
     coefficients_from_parts,
     ito_to_stratonovich,
-    k_from_stratonovich,
     strat_scaling_limit,
     stratonovich_to_ito,
 )
@@ -97,7 +92,6 @@ from .adiabatic import (
     limit_char_op,
     limit_slh,
     scaled_resolvent_limit,
-    slow_indices_from_kernel,
 )
 from . import modelfile, svgplot, zoo
 

@@ -18,12 +18,12 @@ routine here; no other module reads a family's slow/fast layout.  The stacked
 input axis is never permuted and limit models are written back by slow index,
 so every limit comes back in the family's own order.  Structure and
 Hermiticity are judged at ``operators.DEFAULT_TOL``; only the assumption
-report's ``passed`` and ``limit_slh`` take a caller's ``tol``.
+report's ``passed`` and ``limit_slh`` take a caller's ``tol``.  The view also
+builds the assumption report once, and every gate reads that one verdict.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +34,6 @@ from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
 from .model import SLHModel, _check_fields
 from .operators import (
     DEFAULT_TOL,
-    as_matrix,
     cond_ok,
     condition_estimate,
     dagger,
@@ -44,6 +43,7 @@ from .operators import (
     is_unitary,
     max_abs,
     solve,
+    worst,
 )
 from .reduction import BlockPartition, BlockedOperator, block_inverse, partition_operator
 
@@ -85,9 +85,9 @@ class _SlowFirst:
     L0 and L1 and both axes of H0, H1, H2, A, Z and R.  S and the rows of L0
     and L1 (the stacked input axis) keep the family's order, so every result
     built from them is already in that order.  Holds K(k) = k^2 A + k Z + R,
-    the structural, Hermiticity and K-identity residuals, and the condition
-    estimate of A_ff.  A lives on the fast-fast block and Z_ss = 0.  By
-    construction the K identities R_ss + R_ss* = -L0_s* L0_s,
+    the structural, Hermiticity and K-identity residuals, the condition
+    estimate of A_ff and, once asked for, the assumption report.  A lives on
+    the fast-fast block and Z_ss = 0.  By construction the K identities R_ss + R_ss* = -L0_s* L0_s,
     Z_sf + Z_fs* = -L0_s* L1_f and A_ff + A_ff* = -L1_f* L1_f hold;
     ``identities`` holds their residuals.
     """
@@ -131,22 +131,49 @@ class _SlowFirst:
         }
         self.aff_condition = condition_estimate(A_ff)
 
+    def structure_fault(self) -> str | None:
+        """Why the structure or Hermiticity fails at DEFAULT_TOL, or None."""
+        bad = {k: v for k, v in self.structural.items() if not v <= DEFAULT_TOL}
+        if bad:
+            return f"family violates its block structure: {bad}"
+        for name, r in self.hermiticity.items():
+            if not r <= DEFAULT_TOL:
+                return f"{name} is not Hermitian: residual {r:.3e}"
+        return None
 
-def _require_structure(family: ScaledSLHFamily) -> _SlowFirst:
-    """The family's slow-first view, once its structure and Hermiticity hold."""
-    p = family._slow_first
-    bad = {k: v for k, v in p.structural.items() if v > DEFAULT_TOL}
-    if bad:
-        raise InvalidFamily(f"family violates its block structure: {bad}")
-    for name, r in p.hermiticity.items():
-        if r > DEFAULT_TOL:
-            raise InvalidFamily(f"{name} is not Hermitian: residual {r:.3e}")
-    return p
+    @cached_property
+    def report(self) -> AssumptionReport:
+        """The assumption report, built once: the view's arrays never change."""
+        cond = self.aff_condition
+        invertible = cond_ok(cond, AFF_COND_LIMIT)
+        msgs = []
+        if invertible and cond > AFF_COND_WARN:
+            msgs.append(f"A_ff condition estimate {cond:.3e} is near the limit")
+        if not invertible:
+            msgs.append(f"A_ff is not invertible (condition estimate {cond:.3e})")
+        # reported only once structure and Hermiticity hold at DEFAULT_TOL
+        identities = {} if self.structure_fault() else dict(self.identities)
+        overflowed = [name for name, r in identities.items() if not np.isfinite(r)]
+        if overflowed:
+            msgs.append("the generator K(k) overflows: K identity residual not "
+                        f"finite ({', '.join(overflowed)})")
+        return AssumptionReport(
+            structural=dict(self.structural),
+            hermiticity=dict(self.hermiticity),
+            s_unitarity=is_unitary(self.S)[1],
+            aff_condition=cond,
+            aff_invertible=invertible,
+            k_identity_residuals=identities,
+            messages=tuple(msgs),
+        )
 
 
 def assemble_k(family: ScaledSLHFamily, k: float) -> SLHModel:
-    """The SLH triple at strength k: (S, k L1 + L0, H0 + k H1 + k^2 H2)."""
-    _require_structure(family)
+    """The SLH triple at strength k: (S, k L1 + L0, H0 + k H1 + k^2 H2);
+    InvalidFamily unless structure and Hermiticity hold."""
+    fault = family._slow_first.structure_fault()
+    if fault:
+        raise InvalidFamily(fault)
     return SLHModel(
         S=family.S,
         L=k * family.L1 + family.L0,
@@ -167,50 +194,27 @@ class AssumptionReport:
     messages: tuple = ()
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
-        worst = max(
-            max(self.structural.values()),
-            max(self.hermiticity.values()),
-            self.s_unitarity,
-        )
-        return worst <= tol and self.aff_invertible
+        """Residuals within tol (a nan fails), A_ff invertible, K identities finite."""
+        within = worst(*self.structural.values(), *self.hermiticity.values(),
+                       self.s_unitarity) <= tol
+        finite = np.isfinite(worst(*self.k_identity_residuals.values()))
+        return bool(within and self.aff_invertible and finite)
 
 
 def check_assumptions(family: ScaledSLHFamily) -> AssumptionReport:
-    """Report on structure, Hermiticity, S unitarity, and A_ff invertibility."""
-    p = family._slow_first
-    _, s_res = is_unitary(family.S)
-    cond = p.aff_condition
-    invertible = cond_ok(cond, AFF_COND_LIMIT)
-    msgs = []
-    if invertible and cond > AFF_COND_WARN:
-        msgs.append(f"A_ff condition estimate {cond:.3e} is near the limit")
-        warnings.warn(msgs[-1], RuntimeWarning, stacklevel=2)
-    if not invertible:
-        msgs.append(f"A_ff is not invertible (condition estimate {cond:.3e})")
-    try:  # reported only once structure and Hermiticity hold at DEFAULT_TOL
-        identities = dict(_require_structure(family).identities)
-    except InvalidFamily:
-        identities = {}
-    return AssumptionReport(
-        structural=dict(p.structural),
-        hermiticity=dict(p.hermiticity),
-        s_unitarity=s_res,
-        aff_condition=cond,
-        aff_invertible=invertible,
-        k_identity_residuals=identities,
-        messages=tuple(msgs),
-    )
+    """The family's one assumption report (structure, Hermiticity, S, A_ff, K)."""
+    return family._slow_first.report
 
 
 def _require_assumptions(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> _SlowFirst:
     """The family's slow-first view, once it passes the limit assumptions."""
-    report = check_assumptions(family)
-    if not report.passed(tol):
+    p = family._slow_first
+    if not p.report.passed(tol):
         raise AssumptionViolated(
             "family fails the limit assumptions: "
-            f"structural={report.structural}, A_ff condition={report.aff_condition:.3e}"
+            f"structural={p.report.structural}, A_ff condition={p.report.aff_condition:.3e}"
         )
-    return family._slow_first
+    return p
 
 
 def scaled_resolvent_limit(M11, M12, M21, M22, s) -> BlockedOperator:
@@ -300,7 +304,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     The slow Hamiltonian is also computed through its expanded alternative
     form and the two are compared; the result carries the decoupling verdict
     (Lhat_f = Shat_sf = Shat_fs = 0) and, when decoupled, the reduced slow
-    model (Shat_ss, Lhat_s, Hhat_ss).
+    model (Shat_ss, Lhat_s, Hhat_ss).  BadParam when a limit parameter overflows.
     """
     p = _require_assumptions(family, tol)
     sl, fa = p.sl, p.fa
@@ -311,6 +315,9 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     Shat = p.S + L1f @ Aff_inv @ dagger(L1f) @ p.S
     Lhat_slow = L0s - L1f @ Aff_inv @ Z_fs          # nm x ms
     Hhat_ss = p.H0[sl, sl] + imag_part(Z_sf @ Aff_inv @ Z_fs)
+    for name, M in (("Shat", Shat), ("Lhat", Lhat_slow), ("Hhat", Hhat_ss)):
+        if not np.isfinite(M).all():
+            raise BadParam(f"{name} contains non-finite entries")
 
     # Alternative expanded form; the conjugated resolvents are essential.
     H1_sf, H1_fs = p.H1[sl, fa], p.H1[fa, sl]
@@ -350,8 +357,8 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
 def _decoupling_residual(Shat, Lhat, part: BlockPartition) -> float:
     """Max of |Lhat_f|, |Shat_sf|, |Shat_fs|: limit transitions into fast states."""
     Sb, Lb = partition_operator(Shat, part), partition_operator(Lhat, part)
-    return max(max_abs(Lb.X_fs), max_abs(Lb.X_ff), max_abs(Lb.X_sf),
-               max_abs(Sb.X_sf), max_abs(Sb.X_fs))
+    return worst(max_abs(Lb.X_fs), max_abs(Lb.X_ff), max_abs(Lb.X_sf),
+                 max_abs(Sb.X_sf), max_abs(Sb.X_fs))
 
 
 def _slow_block(Shat, Lhat, Hhat, part: BlockPartition) -> SLHModel:
@@ -376,13 +383,13 @@ def check_decoupling(limit: LimitModel):
         if slow_model is None:  # possible after limit_slh with a tighter tol
             slow_model = _slow_block(limit.Shat, limit.Lhat, limit.Hhat, part)
         Tb = partition_operator(char_op(limit.as_model(), 1.0), part)
-        block_res = max(
+        block_res = worst(
             max_abs(Tb.X_sf),
             max_abs(Tb.X_fs),
             max_abs(Tb.X_ss - char_op(slow_model, 1.0)),
             max_abs(Tb.X_ff - partition_operator(limit.Shat, part).X_ff),
         )
-        if block_res > DEFAULT_TOL:
+        if not block_res <= DEFAULT_TOL:
             raise AssumptionViolated(
                 f"decoupled limit is not block diagonal: residual {block_res:.3e}"
             )
@@ -396,7 +403,6 @@ class ConvergenceStudy:
     k_values: tuple
     errors: tuple
     slope: float | None
-    log_intercept: float | None
 
     def rows(self):
         return list(zip(self.k_values, self.errors))
@@ -424,44 +430,10 @@ def convergence_study(family: ScaledSLHFamily, s, k_values) -> ConvergenceStudy:
     That = _pencil_char_op(p, s, 0.0)
     errors = [max_abs(_pencil_char_op(p, s, 1.0 / k) - That) for k in ks]
     fit_pts = [(k, e) for k, e in zip(ks, errors) if k >= 100 and e > 0]
-    slope = intercept = None
+    slope = None
     if len(fit_pts) >= 3:
         lk = np.log10([k for k, _ in fit_pts])
         le = np.log10([e for _, e in fit_pts])
-        slope_, intercept_ = np.polyfit(lk, le, 1)
-        slope, intercept = float(slope_), float(intercept_)
-    return ConvergenceStudy(
-        k_values=tuple(ks), errors=tuple(errors),
-        slope=slope, log_intercept=intercept,
-    )
+        slope = float(np.polyfit(lk, le, 1)[0])
+    return ConvergenceStudy(k_values=tuple(ks), errors=tuple(errors), slope=slope)
 
-
-def slow_indices_from_kernel(L1, H2):
-    """Slow indices = joint null space of A = -1/2 L1*L1 - i H2 and A*.
-
-    Only basis-aligned kernels are supported: the null-space projector must
-    be diagonal with 0/1 entries to within the threshold.  User-supplied
-    partitions always take precedence over this helper.
-    """
-    L1 = as_matrix(L1, "L1")
-    H2 = as_matrix(H2, "H2")
-    m = H2.shape[0]
-    A = -0.5 * dagger(L1) @ L1 - 1j * H2
-
-    def _null_projector(M):
-        U, sing, Vh = np.linalg.svd(M)
-        smax = sing[0] if sing.size else 0.0
-        null = Vh[sing <= 1e-10 * max(smax, 1.0), :].conj().T
-        return null @ dagger(null), null.shape[1]
-
-    P, dim_null = _null_projector(A)
-    P_star, dim_null_star = _null_projector(dagger(A))
-    if dim_null == 0 or dim_null >= m:
-        raise BadParam(f"kernel of A has dimension {dim_null}; no proper split exists")
-    if dim_null != dim_null_star or max_abs(P - P_star) > 1e-8:
-        raise BadParam("kernels of A and A* differ; no invariant basis split exists")
-    diag = np.real(np.diag(P))
-    off = max_abs(P - np.diag(np.diag(P)))
-    if off > 1e-8 or not np.all((diag < 1e-8) | (diag > 1 - 1e-8)):
-        raise BadParam("kernel of A is not aligned with the computational basis")
-    return tuple(int(i) for i in np.flatnonzero(diag > 0.5))

@@ -154,6 +154,8 @@ def cmd_check(path, tol):
                    f"(invertible: {report.aff_invertible})")
         for name, val in report.k_identity_residuals.items():
             click.echo(f"K identity {name}: {val:.3e}")
+        for msg in report.messages:
+            click.echo(f"  {msg}")
         failed = not report.passed(tol)
     elif isinstance(obj, StratonovichCoefficients):
         res = obj.hermiticity_residual()
@@ -300,10 +302,15 @@ def cmd_limit(path, emit_path, study_spec, s_point, tol):
     for name, val in report.structural.items():
         click.echo(f"  structure {name}: {val:.3e}")
     click.echo(f"  A_ff condition estimate: {report.aff_condition:.3e}")
+    for msg in report.messages:
+        click.echo(f"  {msg}")
     if not report.passed(tol):
         sys.exit(EXIT_VALIDATION)
 
-    limit = adiabatic.limit_slh(obj, tol)
+    try:
+        limit = adiabatic.limit_slh(obj, tol)
+    except BadParam as exc:  # a limit parameter of a finite family overflowed
+        raise _Refusal(f"limit model overflowed: {exc}", EXIT_NUMERICAL)
     click.echo(f"Shat unitarity residual: {limit.shat_unitarity:.3e}")
     click.echo(f"Hhat form agreement:     {limit.hhat_alt_residual:.3e}")
     click.echo(f"decoupling residual:     {limit.decoupling_residual:.3e}")

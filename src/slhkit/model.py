@@ -50,21 +50,6 @@ class ValidationReport:
         return self.s_unitarity <= tol and self.h_hermiticity <= tol
 
 
-@dataclass(frozen=True)
-class HeisenbergCoefficients:
-    """Coefficients of the Heisenberg equation of motion for one observable.
-
-    ``drift`` is the Lindblad generator applied to X, ``creation[i]`` and
-    ``annihilation[i]`` multiply dB_i* and dB_i, and ``gauge[j][k]`` multiplies
-    the gauge process increment for input pair (j, k).
-    """
-
-    drift: np.ndarray
-    creation: tuple
-    annihilation: tuple
-    gauge: tuple  # tuple of tuples, n x n
-
-
 # The one field-shape rule, for every kind: n*m rows for a field that stacks
 # the n inputs, n*m columns for one that spans them, m for every other axis.
 _NM_ROWS = frozenset({"S", "L", "L0", "L1", "El0", "Ell", "Fl0", "Fll"})
@@ -128,15 +113,6 @@ class SLHModel:
                 raise ShapeError("basis_labels length must equal dim")
             object.__setattr__(self, "basis_labels", labels)
 
-    # -- block views ---------------------------------------------------------
-    def s_block(self, i: int, j: int) -> np.ndarray:
-        m = self.dim
-        return self.S[i * m:(i + 1) * m, j * m:(j + 1) * m]
-
-    def l_block(self, i: int) -> np.ndarray:
-        m = self.dim
-        return self.L[i * m:(i + 1) * m, :]
-
 
 def validate(model: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Residual report: S unitarity and H Hermiticity (shapes are checked on construction)."""
@@ -166,37 +142,6 @@ def model_matrix(model: SLHModel) -> np.ndarray:
     V[m:, :m] = model.L
     V[m:, m:] = model.S
     return V
-
-
-def heisenberg_coeffs(model: SLHModel, X) -> HeisenbergCoefficients:
-    """Heisenberg equation coefficients for the plant observable X.
-
-    drift          = 1/2 sum_i L_i*[X, L_i] + 1/2 sum_i [L_i*, X] L_i - i[X, H]
-    creation[i]    = sum_j S_ji* [X, L_j]
-    annihilation[i]= sum_k [L_k*, X] S_ki
-    gauge[i][k]    = sum_j S_ji* X S_jk - delta_ik X
-
-    With X_n = I_n (x) X these are the blocks of whole matrices: the drift
-    is 1/2 L*(X_n L - L X) + 1/2 (L* X_n - X L*) L - i[X, H], creation and
-    annihilation split S*(X_n L - L X) and (L* X_n - X L*) S, and gauge
-    splits S* X_n S - X_n.
-    """
-    X = as_matrix(X, "X")
-    n, m = model.n_inputs, model.dim
-    if X.shape != (m, m):
-        raise ShapeError(f"X must be {m} x {m}, got {X.shape}")
-    S, Sd, L, Ld = model.S, dagger(model.S), model.L, dagger(model.L)
-    Xn = kron(identity(n), X)
-    XL = Xn @ L - L @ X      # stacked [X, L_j]
-    LX = Ld @ Xn - X @ Ld    # row of [L_k*, X]
-    drift = 0.5 * Ld @ XL + 0.5 * LX @ L - 1j * (X @ model.H - model.H @ X)
-    G = Sd @ Xn @ S - Xn
-    return HeisenbergCoefficients(
-        drift=drift,
-        creation=tuple(np.split(Sd @ XL, n)),
-        annihilation=tuple(np.split(LX @ S, n, axis=1)),
-        gauge=tuple(tuple(np.split(row, n, axis=1)) for row in np.split(G, n)),
-    )
 
 
 # Largest block Kronecker product series_product forms, in complex entries
@@ -321,7 +266,7 @@ class LinearPassiveSpec:
         object.__setattr__(self, "cutoffs", cutoffs)
 
 
-def mode_operators(cutoffs) -> list:
+def _mode_operators(cutoffs) -> list:
     """Annihilators of each mode lifted to the tensor of all truncated modes."""
     cutoffs = tuple(int(c) for c in cutoffs)
     dims = [c + 1 for c in cutoffs]
@@ -337,7 +282,7 @@ def mode_operators(cutoffs) -> list:
 
 def realize_passive(spec: LinearPassiveSpec) -> SLHModel:
     """Build the SLH model of a linear passive system on truncated modes."""
-    modes = mode_operators(spec.cutoffs)
+    modes = _mode_operators(spec.cutoffs)
     m = modes[0].shape[0]
     n = spec.D.shape[0]
     L = np.zeros((n * m, m), dtype=complex)

@@ -3,7 +3,8 @@
 Everything in this package runs on plain ``numpy`` arrays of dtype
 ``complex128``.  Problem sizes are desk scale (a few hundred rows at most),
 so all storage is dense and all tolerance checks use the max-absolute-entry
-norm returned by :func:`max_abs`.
+norm returned by :func:`max_abs`; :func:`worst` folds several residuals into
+one verdict.
 
 ``DEFAULT_TOL`` (1e-9) is the one default tolerance and ``DEFAULT_COND_LIMIT``
 (1e12) the one inversion limit; :func:`cond_ok` alone also decides other
@@ -38,6 +39,15 @@ def max_abs(A) -> float:
     """Max absolute entry, the norm used for every tolerance check here."""
     A = np.asarray(A)
     return 0.0 if A.size == 0 else float(np.max(np.abs(A)))
+
+
+def worst(*residuals) -> float:
+    """The largest residual, 0.0 for none and nan when any is nan.
+
+    Every residual verdict folds with this: Python's ``max`` keeps a nan
+    only when it comes first, so a nan residual could pass a check.
+    """
+    return float(np.max(residuals, initial=0.0))
 
 
 def dagger(A) -> np.ndarray:
@@ -188,15 +198,3 @@ def number(n_max: int) -> np.ndarray:
         raise BadParam("number needs n_max >= 1 (dim >= 2)")
     return np.diag(np.arange(0, n_max + 1, dtype=float)).astype(complex)
 
-
-def projector(index_set, dim: int) -> np.ndarray:
-    """Orthogonal projector onto the given computational basis indices."""
-    idx = sorted(set(int(i) for i in index_set))
-    if not idx:
-        raise BadParam("projector needs a nonempty index set")
-    if idx[0] < 0 or idx[-1] >= dim:
-        raise BadParam(f"projector indices {idx} out of range for dim {dim}")
-    P = np.zeros((dim, dim), dtype=complex)
-    for i in idx:
-        P[i, i] = 1.0
-    return P

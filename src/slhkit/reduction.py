@@ -28,7 +28,7 @@ import numpy as np
 from .characteristic import char_op, singular_at
 from .errors import BadParam, ShapeError, SingularMatrix
 from .model import SLHModel, k_operator
-from .operators import DEFAULT_TOL, dagger, inverse, max_abs
+from .operators import DEFAULT_TOL, dagger, inverse, max_abs, worst
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,9 @@ def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,
 
 def _worst_over_samples(residual, s_samples):
     """(ok, worst, skipped) of ``residual(s)`` over the samples: singular
-    points are skipped and listed; ``ok`` needs a checked point within DEFAULT_TOL."""
-    worst, skipped, checked = 0.0, [], 0
+    points are skipped and listed; ``ok`` needs a checked point within DEFAULT_TOL
+    and a nan residual fails."""
+    largest, skipped, checked = 0.0, [], 0
     for s in s_samples:
         try:
             r = residual(s)
@@ -213,8 +214,8 @@ def _worst_over_samples(residual, s_samples):
             skipped.append((complex(s), str(exc)))
             continue
         checked += 1
-        worst = max(worst, r)
-    return checked > 0 and worst <= DEFAULT_TOL, worst, tuple(skipped)
+        largest = worst(largest, r)
+    return checked > 0 and largest <= DEFAULT_TOL, largest, tuple(skipped)
 
 
 def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples):
@@ -227,7 +228,7 @@ def is_decoupled(model: SLHModel, partition: BlockPartition, s_samples):
     """
     def residual(s):
         blocks = char_blocks(model, partition, s)
-        return max(max_abs(blocks.X_sf), max_abs(blocks.X_fs))
+        return worst(max_abs(blocks.X_sf), max_abs(blocks.X_fs))
 
     return _worst_over_samples(residual, s_samples)
 
@@ -248,7 +249,7 @@ def is_reduced_model(full: SLHModel, candidate: SLHModel,
     def residual(s):
         blocks = char_blocks(full, partition, s)
         Tc = char_op(candidate, s)
-        return max(max_abs(blocks.X_ss - Tc), max_abs(blocks.X_sf),
-                   max_abs(blocks.X_fs), max_abs(blocks.X_ff - I_f))
+        return worst(max_abs(blocks.X_ss - Tc), max_abs(blocks.X_sf),
+                     max_abs(blocks.X_fs), max_abs(blocks.X_ff - I_f))
 
     return _worst_over_samples(residual, s_samples)

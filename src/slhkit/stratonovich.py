@@ -38,7 +38,7 @@ import numpy as np
 from .errors import CayleySingular, InvalidCoefficients, SingularMatrix
 from .model import SLHModel, _check_fields
 from .operators import (DEFAULT_TOL, as_matrix, dagger, guard_cond, imag_part,
-                        inverse, is_hermitian, max_abs)
+                        inverse, is_hermitian, max_abs, worst)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class StratonovichCoefficients:
         _check_fields(self)
 
     def hermiticity_residual(self) -> float:
-        return max(
+        return worst(
             is_hermitian(self.E00)[1],
             is_hermitian(self.Ell)[1],
             max_abs(self.E0l - dagger(self.El0)),
@@ -92,13 +92,6 @@ def stratonovich_to_ito(coeffs: StratonovichCoefficients) -> SLHModel:
     L = 1j * Winv @ coeffs.El0
     H = coeffs.E00 + 0.5 * imag_part(coeffs.E0l @ Winv @ coeffs.El0)
     return SLHModel(S=S, L=L, H=H)
-
-
-def k_from_stratonovich(coeffs: StratonovichCoefficients) -> np.ndarray:
-    """K = -i E00 - 1/2 E0l (1 + (i/2) Ell)^-1 El0."""
-    nm = coeffs.Ell.shape[0]
-    Winv = inverse(np.eye(nm, dtype=complex) + 0.5j * coeffs.Ell)
-    return -1j * coeffs.E00 - 0.5 * coeffs.E0l @ Winv @ coeffs.El0
 
 
 def ito_to_stratonovich(model: SLHModel) -> StratonovichCoefficients:

@@ -315,8 +315,8 @@ def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=
     """Levels ordered (g1, g2, e); plant space is level (x) cavity mode.
 
     The slow subspace defaults to the kernel of the fast generator, which is
-    span{|g1, 0>, |g2, 0>} = indices (0, n_max + 1) at every cutoff (what
-    ``slow_indices_from_kernel`` finds); pass ``slow_indices`` to override.
+    span{|g1, 0>, |g2, 0>} = indices (0, n_max + 1) at every cutoff; pass
+    ``slow_indices`` to override.
     """
     gamma = _positive(gamma, "gamma")
     gcoh = _positive(g, "g")

@@ -70,6 +70,21 @@ def random_family(rng, n_inputs, n_slow, n_fast, contiguous=True, slow=None):
     )
 
 
+def near_limit_family():
+    """An m = 3 family whose A_ff = -diag(1, 9e-10)/2 has the condition
+    estimate 1.111e9: invertible, but near the limit of 1e10."""
+    L1 = np.zeros((3, 3))
+    L1[0, 1], L1[1, 2] = 1.0, 3e-5
+    L0 = np.zeros((3, 3))
+    L0[2, 0] = 0.5
+    H1 = np.zeros((3, 3))
+    H1[0, 1] = H1[1, 0] = 0.5
+    H1[0, 2] = H1[2, 0] = 0.2
+    return ScaledSLHFamily(S=np.eye(3), L0=L0, L1=L1, H0=np.diag([0.3, 0.0, 0.0]),
+                           H1=H1, H2=np.zeros((3, 3)),
+                           partition=BlockPartition(dim=3, slow_indices=(0,)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,5 +1,5 @@
-"""SLH triples: validation, K, model matrix, Heisenberg coefficients,
-series product, rotations, and passive realizations."""
+"""SLH triples: validation, K, model matrix, series product, rotations,
+and passive realizations."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from slhkit import (
     annihilator,
     dagger,
     gauge,
-    heisenberg_coeffs,
     identity,
     imag_part,
     k_operator,
@@ -24,7 +23,6 @@ from slhkit import (
     max_abs,
     model_matrix,
     number,
-    pauli,
     realize_passive,
     rotate,
     series_product,
@@ -139,96 +137,19 @@ def test_model_matrix_blocks_and_shape():
     assert max_abs(V0[:m, :m]) == 0.0
 
 
-def test_heisenberg_identity_observable_is_fixed():
-    model = zoo.build("three_input_qubit")
-    co = heisenberg_coeffs(model, identity(2))
-    assert max_abs(co.drift) <= 1e-14
-    assert all(max_abs(M) <= 1e-14 for M in co.creation)
-    assert all(max_abs(M) <= 1e-14 for M in co.annihilation)
-    assert all(max_abs(G) <= 1e-14 for row in co.gauge for G in row)
-
-
-def test_heisenberg_gauge_vanishes_for_trivial_scattering(rng):
-    model = random_model(rng, 2, 3)
-    model = SLHModel(S=identity(6), L=model.L, H=model.H)
-    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    co = heisenberg_coeffs(model, X)
-    assert all(max_abs(G) <= 1e-12 for row in co.gauge for G in row)
-
-
-def test_heisenberg_drift_matches_adjoint_lindblad_form():
-    # independent evaluation: sum L* X L - (1/2){L*L, X} - i[X, H]
-    model = zoo.build("thermal_qubit", gamma=1.4, n=0.3, omega=0.7)
-    X = pauli("z")
-    co = heisenberg_coeffs(model, X)
-    acc = -1j * (X @ model.H - model.H @ X)
-    for i in range(model.n_inputs):
-        Li = model.l_block(i)
-        acc += dagger(Li) @ X @ Li - 0.5 * (dagger(Li) @ Li @ X + X @ dagger(Li) @ Li)
-    assert max_abs(co.drift - acc) <= 1e-13
-
-
-def test_heisenberg_drift_hermitian_for_hermitian_observable(rng):
-    model = random_model(rng, 2, 3)
-    X = rng.standard_normal((3, 3))
-    X = (X + X.T) / 2
-    co = heisenberg_coeffs(model, X.astype(complex))
-    assert max_abs(co.drift - dagger(co.drift)) <= 1e-12
-
-
-def _heisenberg_reference(model, X):
-    """The per-block sums of the heisenberg_coeffs docstring, term by term."""
-    n = model.n_inputs
-    Ls = [model.l_block(i) for i in range(n)]
-    S = model.s_block
-    drift = -1j * (X @ model.H - model.H @ X)
-    for Li in Ls:
-        drift = drift + 0.5 * dagger(Li) @ (X @ Li - Li @ X)
-        drift = drift + 0.5 * (dagger(Li) @ X - X @ dagger(Li)) @ Li
-    creation = [sum(dagger(S(j, i)) @ (X @ Ls[j] - Ls[j] @ X) for j in range(n))
-                for i in range(n)]
-    annihilation = [sum((dagger(Ls[k]) @ X - X @ dagger(Ls[k])) @ S(k, i) for k in range(n))
-                    for i in range(n)]
-    gauge = [[sum(dagger(S(j, i)) @ X @ S(j, k) for j in range(n)) - (i == k) * X
-              for k in range(n)] for i in range(n)]
-    return drift, creation, annihilation, gauge
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_heisenberg_coeffs_match_per_block_reference(n):
-    rng = np.random.default_rng(7100 + n)
-    for m in (1, 2, 4):
-        model = random_model(rng, n, m)
-        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        co = heisenberg_coeffs(model, X)
-        drift, creation, annihilation, gauge = _heisenberg_reference(model, X)
-        assert len(co.creation) == len(co.annihilation) == len(co.gauge) == n
-        assert max_abs(co.drift - drift) <= 1e-12
-        for i in range(n):
-            assert co.creation[i].shape == co.annihilation[i].shape == (m, m)
-            assert max_abs(co.creation[i] - creation[i]) <= 1e-12
-            assert max_abs(co.annihilation[i] - annihilation[i]) <= 1e-12
-            assert len(co.gauge[i]) == n
-            for k in range(n):
-                assert max_abs(co.gauge[i][k] - gauge[i][k]) <= 1e-12
-
-
-def test_heisenberg_shape_mismatch():
-    with pytest.raises(ShapeError):
-        heisenberg_coeffs(_identity_model(), identity(3))
-
-
 def test_series_product_trivial_cascade_is_tensor_lift(rng):
     A = random_model(rng, 2, 3)
     mB = 2
     B = _identity_model(n=2, m=mB)
     C = series_product(B, A)
     n, mA = A.n_inputs, A.dim
+    # the (n, m, n, m) block views of S and (n, m, m) of L
+    CS, AS = C.S.reshape(n, mB * mA, n, mB * mA), A.S.reshape(n, mA, n, mA)
+    CL, AL = C.L.reshape(n, mB * mA, mB * mA), A.L.reshape(n, mA, mA)
     for j in range(n):
         for k in range(n):
-            assert max_abs(C.s_block(j, k) - kron(identity(mB), A.s_block(j, k))) <= 1e-14
-    for j in range(n):
-        assert max_abs(C.l_block(j) - kron(identity(mB), A.l_block(j))) <= 1e-14
+            assert max_abs(CS[j, :, k] - kron(identity(mB), AS[j, :, k])) <= 1e-14
+        assert max_abs(CL[j] - kron(identity(mB), AL[j])) <= 1e-14
     assert max_abs(C.H - kron(identity(mB), A.H)) <= 1e-14
 
 

@@ -19,6 +19,7 @@ from slhkit import (
     ScaledSLHFamily,
     SLHModel,
     SlhkitError,
+    check_assumptions,
     StratonovichCoefficients,
     identity,
     ito_to_stratonovich,
@@ -28,7 +29,7 @@ from slhkit import (
 from slhkit import modelfile, zoo
 from slhkit.cli import main
 from slhkit.model import field_shape
-from conftest import random_family, random_model
+from conftest import near_limit_family, random_family, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +652,40 @@ def test_cli_limit_study_and_assumption_failure(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_cli_near_limit_note_once_on_stdout(runner, tmp_path):
+    # A_ff's condition estimate 1.1e9 passes the limit 1e10 with a note: one
+    # stdout line per command, however often the command reads the report
+    fam = near_limit_family()
+    assert check_assumptions(fam) is check_assumptions(fam)
+    path = tmp_path / "near.json"
+    modelfile.write_model(path, fam)
+    note = "  A_ff condition estimate 1.111e+09 is near the limit"
+    for args in (["check", str(path)], ["limit", str(path), "--study", "10,100,1000"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert res.stdout.splitlines().count(note) == 1, args
+
+
+@pytest.mark.parametrize("name,params", [("detuned_two_level", {}),
+                                         ("lambda_system", {"n_max": 2})])
+@pytest.mark.parametrize("extra", [[], ["--emit", "{tmp}/slow.json"], ["--study", "10,100"]],
+                         ids=["limit", "emit", "study"])
+def test_cli_limit_refuses_an_overflowed_limit_model(runner, tmp_path, name, params, extra):
+    # H1 entries of 1e155 pass check, but Hhat_ss = H0_ss + Im{Z_sf A_ff^-1 Z_fs}
+    # overflows: a numerical failure in one error: line, not a traceback
+    fam = zoo.build(name, **params)
+    path = tmp_path / "huge_h1.json"
+    modelfile.write_model(path, dataclasses.replace(fam, H1=fam.H1 * 1e155))
+    assert runner.invoke(main, ["check", str(path)]).exit_code == 0
+    res = runner.invoke(main, ["limit", str(path), *(a.format(tmp=tmp_path) for a in extra)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        "error: limit model overflowed: Hhat contains non-finite entries"]
+    assert not (tmp_path / "slow.json").exists()
+
+
 def test_cli_limit_refuses_bad_study_or_point_before_any_output(runner, tmp_path):
     path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=4")
     slow = tmp_path / "slow.json"
@@ -759,7 +794,8 @@ def test_cli_tol_env_override(runner, tmp_path, monkeypatch):
 # cli_files), SLHKIT_TOL or None, the exit code, the command's message and,
 # optionally, a stdout line printed before a refusal.  A refusal (stream
 # "err") writes exactly that one line to stderr; the other rows write the
-# message as a stdout line and nothing to stderr.
+# message as a stdout line and nothing to stderr, and exit 1 only with a
+# FAIL verdict.
 _NOT_WRITABLE = "error: cannot write {missing}/"
 _NO_CAYLEY = ("error: S + 1 is not invertible (condition estimate inf); "
               "no Stratonovich coefficients exist")
@@ -828,8 +864,15 @@ _CLI_BRANCHES = [
      None, 2, "err", "error: all grid points singular", "evaluated 3 point(s), 3 singular"),
     ("compose-overflow", ["compose", "{huge}", "{huge}", "--out", "{tmp}/c.json"], None, 2, "err",
      "error: series product overflowed: H contains non-finite entries"),
-    ("limit-overflow-study", ["limit", "{huge_fam}", "--study", "10,100"], None, 2, "err",
-     "error: convergence study failed: "),
+    # a family whose K(k) overflows fails its assumptions before the study runs
+    ("limit-overflow-study", ["limit", "{huge_fam}", "--study", "10,100"], None, 1, "out",
+     "  the generator K(k) overflows: K identity residual not finite (R_ss)",
+     "assumptions: FAIL"),
+    ("check-overflow-family", ["check", "{huge_fam}"], None, 1, "out", "FAIL",
+     "K identity R_ss: nan"),
+    # the slow model of lambda_system has a pole at s = 0: the limit pencil is singular
+    ("limit-study-singular", ["limit", "{fam}", "--study", "10,100", "--s", "0"], None, 2,
+     "err", "error: convergence study failed: (s - K(k)) not invertible at k = inf"),
 ]
 
 
@@ -837,8 +880,9 @@ _CLI_BRANCHES = [
 def cli_files(tmp_path_factory):
     """An slh, family and Stratonovich file, a family that the limit does not
     decouple, a model with S = -I exactly, which has no Stratonovich form, the
-    lossless model at phase pi, whose S is -I up to rounding, and an slh model
-    and a family whose L (L0) entries of 1e160 pass check but overflow K."""
+    lossless model at phase pi, whose S is -I up to rounding, an slh model
+    whose L entries of 1e160 pass check but overflow K, and a family whose
+    L0 entries of 1e160 overflow K(k) and fail check."""
     tmp = tmp_path_factory.mktemp("cli")
     cavity = zoo.build("linear_passive", n_max=2)
     two_level = zoo.build("detuned_two_level")
@@ -878,9 +922,13 @@ def test_cli_branches(cli_files, monkeypatch, args, tol_env, code, stream, messa
         assert res.stderr.startswith("error: ")
         assert res.stderr.startswith(message)
     else:
-        assert res.exception is None and res.stderr == ""
+        assert res.stderr == ""
+        if code:
+            assert isinstance(res.exception, SystemExit)
+        else:
+            assert res.exception is None
         assert message in res.stdout.splitlines()
-    if stdout is not None:  # a line the command prints before it refuses
+    if stdout is not None:  # a line the command prints before its verdict or refusal
         assert stdout in res.stdout.splitlines()
 
 

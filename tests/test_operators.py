@@ -18,9 +18,8 @@ from slhkit import (
     max_abs,
     number,
     pauli,
-    projector,
 )
-from slhkit.operators import solve
+from slhkit.operators import solve, worst
 from conftest import random_complex
 
 
@@ -135,12 +134,17 @@ def test_pauli_minus_convention():
 
 
 def test_projector_and_param_errors():
-    P = projector({0, 2}, 3)
-    assert np.array_equal(P, np.diag([1.0, 0.0, 1.0]).astype(complex))
-    with pytest.raises(BadParam):
-        projector([3], 3)
     with pytest.raises(BadParam):
         annihilator(0)
+
+
+def test_worst_keeps_a_nan_wherever_it_falls():
+    nan = float("nan")
+    assert worst() == 0.0
+    assert worst(1e-12, 3.0, 2.0) == 3.0
+    assert max(0.0, nan) == 0.0  # the fold worst replaces
+    for residuals in ((nan, 1.0), (1.0, nan), (0.0, nan, float("inf"))):
+        assert np.isnan(worst(*residuals)), residuals
 
 
 def test_checks_with_residual_report():

@@ -22,6 +22,7 @@ from slhkit import (
     schur_feshbach,
 )
 from slhkit import zoo
+from slhkit.reduction import _worst_over_samples
 from conftest import random_complex, random_model
 
 
@@ -216,3 +217,10 @@ def test_is_reduced_model_detuned_limit_statement():
                      H=np.array([[w_shift + 0.05]]))
     ok, worst, _ = is_reduced_model(limit.as_model(), wrong, part, samples)
     assert not ok
+
+
+def test_sampled_verdicts_fail_on_a_nan_residual():
+    # a nan at any sample fails the verdict; Python's max would keep 0.0
+    residuals = {1.0: 0.0, 2.0: float("nan"), 3.0: 0.0}
+    ok, largest, skipped = _worst_over_samples(residuals.get, [1.0, 2.0, 3.0])
+    assert not ok and np.isnan(largest) and skipped == ()

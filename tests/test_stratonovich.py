@@ -22,8 +22,6 @@ from slhkit import (
     dagger,
     identity,
     ito_to_stratonovich,
-    k_from_stratonovich,
-    k_operator,
     limit_char_op,
     max_abs,
     strat_scaling_limit,
@@ -118,12 +116,6 @@ def test_cayley_of_hermitian_is_unitary(rng):
         E = random_hermitian(rng, int(rng.integers(1, 6)))
         C = cayley(E)
         assert max_abs(dagger(C) @ C - identity(C.shape[0])) <= 1e-10
-
-
-def test_k_from_stratonovich_matches_direct(rng):
-    model = random_model(rng, 2, 2)
-    E = ito_to_stratonovich(model)
-    assert max_abs(k_from_stratonovich(E) - k_operator(model)) <= 1e-10
 
 
 def test_strat_route_matches_direct_on_random(rng):
