@@ -20,7 +20,6 @@ from .errors import (
 )
 from .operators import (
     annihilator,
-    condition_estimate,
     dagger,
     identity,
     imag_part,

@@ -28,17 +28,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .characteristic import char_op, singular_at
 from .errors import AssumptionViolated, BadParam, InvalidFamily, ShapeError
 from .model import SLHModel, _check_fields
 from .operators import (
     DEFAULT_TOL,
+    _lu_with_cond,
     cond_ok,
-    condition_estimate,
     dagger,
     imag_part,
-    inverse,
     is_hermitian,
     is_unitary,
     max_abs,
@@ -85,11 +85,11 @@ class _SlowFirst:
     L0 and L1 and both axes of H0, H1, H2, A, Z and R.  S and the rows of L0
     and L1 (the stacked input axis) keep the family's order, so every result
     built from them is already in that order.  Holds K(k) = k^2 A + k Z + R,
-    the structural, Hermiticity and K-identity residuals, the condition
-    estimate of A_ff and, once asked for, the assumption report.  A lives on
-    the fast-fast block and Z_ss = 0.  By construction the K identities R_ss + R_ss* = -L0_s* L0_s,
-    Z_sf + Z_fs* = -L0_s* L1_f and A_ff + A_ff* = -L1_f* L1_f hold;
-    ``identities`` holds their residuals.
+    the structural, Hermiticity and K-identity residuals, the one LU factor
+    of A_ff with its condition estimate and, once asked for, the assumption
+    report.  A lives on the fast-fast block and Z_ss = 0.  By construction
+    the K identities R_ss + R_ss* = -L0_s* L0_s, Z_sf + Z_fs* = -L0_s* L1_f
+    and A_ff + A_ff* = -L1_f* L1_f hold; ``identities`` holds their residuals.
     """
 
     def __init__(self, family: ScaledSLHFamily):
@@ -129,7 +129,8 @@ class _SlowFirst:
             "Z_sf": max_abs(Z_sf + dagger(Z_fs) + dagger(L0s) @ L1f),
             "A_ff": max_abs(A_ff + dagger(A_ff) + dagger(L1f) @ L1f),
         }
-        self.aff_condition = condition_estimate(A_ff)
+        # the gate judges this estimate and the limit solves with these factors
+        self.aff_lu, self.aff_condition = _lu_with_cond(A_ff)
 
     def structure_fault(self) -> str | None:
         """Why the structure or Hermiticity fails at DEFAULT_TOL, or None."""
@@ -283,7 +284,6 @@ class LimitModel:
     Lhat: np.ndarray
     Hhat: np.ndarray
     partition: BlockPartition
-    n_inputs: int
     shat_unitarity: float
     hhat_alt_residual: float
     decoupling_residual: float
@@ -308,7 +308,8 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     """
     p = _require_assumptions(family, tol)
     sl, fa = p.sl, p.fa
-    Aff_inv = inverse(p.A[fa, fa])
+    # the gate passed, so A_ff's estimate is within AFF_COND_LIMIT
+    Aff_inv = scipy.linalg.lu_solve(p.aff_lu, np.eye(p.m - p.ms, dtype=complex))
     Z_sf, Z_fs = p.Z[sl, fa], p.Z[fa, sl]
     L0s, L1f = p.L0[:, sl], p.L1[:, fa]
 
@@ -344,7 +345,6 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
         Lhat=Lhat,
         Hhat=Hhat,
         partition=family.partition,
-        n_inputs=p.n,
         shat_unitarity=shat_res,
         hhat_alt_residual=alt_residual,
         decoupling_residual=dec_residual,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -104,6 +104,15 @@ def char_op_stratonovich(coeffs, s) -> np.ndarray:
     with singular_at(s, "(I + X(s)) not invertible"):
         denom = inverse(I + X)
     return (I - X) @ denom
+
+
+# The T(s) methods, each as its point route: model -> (s -> nm x nm T(s)).
+# The Stratonovich route converts the model once, for every point.
+METHODS = {
+    "direct": lambda model: partial(char_op, model),
+    "allpass": lambda model: partial(char_op_allpass, model),
+    "stratonovich": lambda model: partial(char_op_stratonovich, ito_to_stratonovich(model)),
+}
 
 
 def transfer_function(abcd_matrices, s) -> np.ndarray:
@@ -255,9 +264,6 @@ class SweepResult:
                      for T in self.values)
 
 
-_SWEEP_METHODS = ("direct", "allpass", "stratonovich")
-
-
 def _block_schur(K):
     """Complex Schur form K = Z T Z*, one diagonal block per strong component.
 
@@ -343,14 +349,14 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct", *,
           rows=None, cols=None) -> SweepResult:
     """Evaluate T over a grid; singular points are recorded, not fatal.
 
-    ``method="direct"`` factors K once (see the module docstring); the
-    all-pass and Stratonovich routes evaluate each point independently.
+    ``method`` is a name in :data:`METHODS`.  ``"direct"`` factors K once
+    (see the module docstring); the other methods run their point route.
     ``rows`` and ``cols`` select entries of the nm x nm operator (None:
     all of them, in any order, repeats allowed); the direct route forms
     only T(s)[rows][:, cols], the other routes slice their full result.
     """
-    if method not in _SWEEP_METHODS:
-        raise ShapeError(f"method must be one of {_SWEEP_METHODS}")
+    if method not in METHODS:
+        raise ShapeError(f"method must be one of {tuple(METHODS)}")
     nm = model.n_inputs * model.dim
     rows, cols = _selection(rows, nm, "rows"), _selection(cols, nm, "cols")
     pick_rows = slice(None) if rows is None else list(rows)
@@ -359,11 +365,7 @@ def sweep(model: SLHModel, grid: FrequencyGrid, method: str = "direct", *,
     if method == "direct":
         evaluate = _schur_char_op(model, pick_rows, pick_cols)
     else:
-        if method == "stratonovich":
-            coeffs = ito_to_stratonovich(model)
-            full = lambda s: char_op_stratonovich(coeffs, s)
-        else:
-            full = lambda s: char_op_allpass(model, s)
+        full = METHODS[method](model)
         evaluate = (lambda s: full(s)[pick_rows][:, pick_cols]) if selected else full
 
     values = []

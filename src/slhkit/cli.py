@@ -17,20 +17,10 @@ import numpy as np
 
 from . import adiabatic, modelfile, operators, svgplot, zoo
 from .adiabatic import ScaledSLHFamily
-from .characteristic import (
-    FrequencyGrid,
-    char_op,
-    char_op_allpass,
-    char_op_stratonovich,
-    sweep,
-)
+from .characteristic import METHODS, FrequencyGrid, sweep
 from .errors import BadParam, ShapeError, SingularMatrix, SlhkitError
 from .model import SLHModel, series_product, validate
-from .stratonovich import (
-    StratonovichCoefficients,
-    ito_to_stratonovich,
-    stratonovich_to_ito,
-)
+from .stratonovich import StratonovichCoefficients, stratonovich_to_ito
 
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -177,8 +167,7 @@ def cmd_check(path, tol):
 @click.option("--s", "s_point", default=None, help="single point 're,im'")
 @click.option("--sweep", "sweep_spec", default=None, help="grid 'min:max:count'")
 @click.option("--axis", type=click.Choice(["imaginary", "real"]), default="imaginary")
-@click.option("--method", type=click.Choice(["direct", "allpass", "stratonovich"]),
-              default="direct")
+@click.option("--method", type=click.Choice(list(METHODS)), default="direct")
 @click.option("--out", "out_path", default=None, help="CSV output path")
 @click.option("--plot", "plot_path", default=None, help="SVG output path")
 @click.option("--entry", "entry_spec", default="0,0",
@@ -213,14 +202,8 @@ def cmd_eval(path, s_point, sweep_spec, axis, method, out_path, plot_path, entry
         if plot_path:
             raise _Refusal("--plot needs a --sweep grid")
         z = _parse_complex(s_point, "--s")
-        evaluators = {
-            "direct": lambda s: char_op(model, s),
-            "allpass": lambda s: char_op_allpass(model, s),
-            "stratonovich": lambda s: char_op_stratonovich(
-                ito_to_stratonovich(model), s),
-        }
         try:
-            matrices = [evaluators[method](z)]
+            matrices = [METHODS[method](model)(z)]
             statuses = ["ok"]
         except SingularMatrix as exc:
             matrices = [None]
@@ -399,12 +382,7 @@ def cmd_zoo(name, params, out_path):
         # a value takes the type of its default; zoo.build refuses unknown names
         typ = type(defaults.get(key, 0.0))
         try:
-            if typ is complex:
-                kwargs[key] = _parse_complex(value, key)
-            elif typ in (int, float):
-                kwargs[key] = typ(value)
-            else:  # e.g. slow_indices, which only Python callers set
-                raise ValueError(key)
+            kwargs[key] = _parse_complex(value, key) if typ is complex else typ(value)
         except (ValueError, _Refusal):
             raise _Refusal(f"cannot parse value for {key}: {value!r}")
     try:

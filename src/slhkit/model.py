@@ -44,10 +44,11 @@ class ValidationReport:
 
     s_unitarity: float
     h_hermiticity: float
+    k_finite: bool
     messages: tuple = ()
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.s_unitarity <= tol and self.h_hermiticity <= tol
+        return self.s_unitarity <= tol and self.h_hermiticity <= tol and self.k_finite
 
 
 # The one field-shape rule, for every kind: n*m rows for a field that stacks
@@ -115,16 +116,22 @@ class SLHModel:
 
 
 def validate(model: SLHModel, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Residual report: S unitarity and H Hermiticity (shapes are checked on construction)."""
+    """Residual report: S unitarity, H Hermiticity and a finite generator K
+    (shapes are checked on construction).  A K that overflows fails: no
+    evaluation route reaches a point of such a model."""
     _, s_res = is_unitary(model.S)
     _, h_res = is_hermitian(model.H)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is this report's finding
+        k_finite = bool(np.isfinite(k_operator(model)).all())
     msgs = []
     if s_res > tol:
         msgs.append(f"S fails unitarity: residual {s_res:.3e} > tol {tol:.1e}")
     if h_res > tol:
         msgs.append(f"H fails Hermiticity: residual {h_res:.3e} > tol {tol:.1e}")
+    if not k_finite:
+        msgs.append("the generator K = -L*L/2 - iH overflows: K is not finite")
     return ValidationReport(
-        s_unitarity=s_res, h_hermiticity=h_res, messages=tuple(msgs)
+        s_unitarity=s_res, h_hermiticity=h_res, k_finite=k_finite, messages=tuple(msgs)
     )
 
 

@@ -124,15 +124,6 @@ def inverse(A) -> np.ndarray:
     return solve(A, np.eye(A.shape[0] if A.ndim else 0))
 
 
-def condition_estimate(A) -> float:
-    """Condition estimate from LU factor diagonals (inf when rank deficient)."""
-    A = np.asarray(A, dtype=complex)
-    if A.size == 0:
-        return 1.0
-    _, cond = _lu_with_cond(A)
-    return cond
-
-
 def is_hermitian(A):
     """Return (ok, residual) with residual = ||A - A*|| in max-abs norm."""
     A = np.asarray(A, dtype=complex)

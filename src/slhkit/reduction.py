@@ -131,7 +131,6 @@ class SchurFeshbachBlocks:
     D21: np.ndarray
     D22: np.ndarray
     Khat11: np.ndarray
-    s: complex
 
     def assemble(self, partition: BlockPartition) -> np.ndarray:
         return reassemble_operator(
@@ -175,8 +174,7 @@ def schur_feshbach(Kblocked: BlockedOperator, s) -> SchurFeshbachBlocks:
         D, Delta22 = block_inverse(s * np.eye(Kb.X_ss.shape[0]) - Kb.X_ss, -Kb.X_sf,
                                    -Kb.X_fs, s * np.eye(Kb.X_ff.shape[0]) - Kb.X_ff)
     return SchurFeshbachBlocks(D11=D.X_ss, D12=D.X_sf, D21=D.X_fs, D22=D.X_ff,
-                               Khat11=Kb.X_ss + Kb.X_sf @ Delta22 @ Kb.X_fs,
-                               s=complex(s))
+                               Khat11=Kb.X_ss + Kb.X_sf @ Delta22 @ Kb.X_fs)
 
 
 def char_blocks(model: SLHModel, partition: BlockPartition, s) -> BlockedOperator:

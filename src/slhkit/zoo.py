@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .reduction import BlockPartition
 
 @dataclass(frozen=True)
 class ZooEntry:
-    name: str
     kind: str                 # "slh" or "family"
     build: callable
     closed_form: callable | None
@@ -311,12 +309,11 @@ def kerr_bright_mode_rational(params, s):
 # ---------------------------------------------------------------------------
 
 
-def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=None):
+def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8):
     """Levels ordered (g1, g2, e); plant space is level (x) cavity mode.
 
-    The slow subspace defaults to the kernel of the fast generator, which is
-    span{|g1, 0>, |g2, 0>} = indices (0, n_max + 1) at every cutoff; pass
-    ``slow_indices`` to override.
+    The slow subspace is the kernel of the fast generator,
+    span{|g1, 0>, |g2, 0>} = indices (0, n_max + 1) at every cutoff.
     """
     gamma = _positive(gamma, "gamma")
     gcoh = _positive(g, "g")
@@ -336,12 +333,10 @@ def build_lambda_system(gamma=1.0, alpha=0.5 + 0j, g=1.0, n_max=8, slow_indices=
     H2 = 1j * gcoh * (kron(lv(2, 0), a) - kron(lv(0, 2), dagger(a)))
     H1 = 1j * (alpha * kron(lv(2, 1), Im) - np.conj(alpha) * kron(lv(1, 2), Im))
     m = 3 * d
-    if slow_indices is None:
-        slow_indices = (0, d)
     return ScaledSLHFamily(
         S=identity(m), L0=np.zeros((m, m), dtype=complex), L1=L1,
         H0=np.zeros((m, m), dtype=complex), H1=H1, H2=H2,
-        partition=BlockPartition(dim=m, slow_indices=tuple(slow_indices)),
+        partition=BlockPartition(dim=m, slow_indices=(0, d)),
     )
 
 
@@ -373,42 +368,42 @@ def closed_lambda_system(params, s):
 
 ENTRIES = {
     "lossless": ZooEntry(
-        name="lossless", kind="slh", build=build_lossless,
+        kind="slh", build=build_lossless,
         closed_form=closed_lossless,
         summary="no coupling; T(s) = S for every s",
     ),
     "linear_passive": ZooEntry(
-        name="linear_passive", kind="slh", build=build_linear_passive,
+        kind="slh", build=build_linear_passive,
         closed_form=closed_linear_passive,
         summary="single passive cavity mode on a truncated Fock space",
     ),
     "thermal_qubit": ZooEntry(
-        name="thermal_qubit", kind="slh", build=build_thermal_qubit,
+        kind="slh", build=build_thermal_qubit,
         closed_form=closed_thermal_qubit,
         summary="qubit in a thermal bath with polarization phases",
     ),
     "optomech": ZooEntry(
-        name="optomech", kind="slh", build=build_optomech,
+        kind="slh", build=build_optomech,
         closed_form=closed_optomech,
         summary="leaky cavity with mirror-position-dependent detuning",
     ),
     "detuned_two_level": ZooEntry(
-        name="detuned_two_level", kind="family", build=build_detuned_two_level,
+        kind="family", build=build_detuned_two_level,
         closed_form=closed_detuned_two_level,
         summary="strongly detuned driven atom; limit shifts the frequency",
     ),
     "three_input_qubit": ZooEntry(
-        name="three_input_qubit", kind="slh", build=build_three_input_qubit,
+        kind="slh", build=build_three_input_qubit,
         closed_form=closed_three_input_qubit,
         summary="driven qubit with three input fields",
     ),
     "kerr_qubit": ZooEntry(
-        name="kerr_qubit", kind="family", build=build_kerr_qubit,
+        kind="family", build=build_kerr_qubit,
         closed_form=closed_kerr_qubit,
         summary="strong Kerr cavity reducing to a driven qubit",
     ),
     "lambda_system": ZooEntry(
-        name="lambda_system", kind="family", build=build_lambda_system,
+        kind="family", build=build_lambda_system,
         closed_form=closed_lambda_system,
         summary="three-level atom in a lossy cavity; two-dim dark subspace",
     ),
@@ -433,9 +428,6 @@ _FITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real nu
 
 
 def _fits(value, default) -> bool:
-    if default is None:  # slow_indices: None or a sequence of integers
-        return value is None or (isinstance(value, Sequence)
-                                 and all(_fits(i, 0) for i in value))
     return isinstance(value, _FITS[type(default)][0]) and not isinstance(value, bool)
 
 
@@ -449,8 +441,8 @@ def build(name: str, **params):
         raise BadParam(f"unknown parameters for {name}: {sorted(unknown)}")
     for key, value in params.items():
         if not _fits(value, defaults[key]):
-            what = _FITS.get(type(defaults[key]), (0, "None or a sequence of integers"))
-            raise BadParam(f"{name}: {key} must be {what[1]}, got {value!r}")
+            raise BadParam(f"{name}: {key} must be {_FITS[type(defaults[key])][1]}, "
+                           f"got {value!r}")
     return e.build(**params)
 
 

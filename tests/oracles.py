@@ -12,7 +12,6 @@ from slhkit import (
     InvalidFamily,
     SLHModel,
     check_assumptions,
-    condition_estimate,
     dagger,
     inverse,
     ito_to_stratonovich,
@@ -22,7 +21,7 @@ from slhkit import (
 )
 from slhkit.adiabatic import AFF_COND_LIMIT
 from slhkit.characteristic import singular_at
-from slhkit.operators import DEFAULT_TOL, cond_ok
+from slhkit.operators import DEFAULT_TOL, _lu_with_cond, cond_ok
 
 
 def strat_adiabatic_limit(family, s) -> np.ndarray:
@@ -69,7 +68,7 @@ def strat_adiabatic_limit(family, s) -> np.ndarray:
     P2ff = 0.5 * (P2ff + dagger(P2ff))  # Hermitian, as in ito_to_stratonovich
     P1 = family.H1 + 0.25 * (dagger(family.L1) @ Ell @ family.L0
                              + dagger(family.L0) @ Ell @ family.L1)
-    cond = condition_estimate(P2ff)
+    cond = _lu_with_cond(P2ff)[1]
     if not cond_ok(cond, AFF_COND_LIMIT):
         raise AssumptionViolated(
             f"E00 fast-fast block is not invertible (condition estimate {cond:.3e})"

@@ -42,7 +42,7 @@ from slhkit import (
     vacuum_expectation_char,
 )
 from slhkit import zoo
-from slhkit.characteristic import _block_schur, _schur_char_op
+from slhkit.characteristic import METHODS, _block_schur, _schur_char_op
 from slhkit.operators import DEFAULT_COND_LIMIT
 from conftest import random_model, random_unitary
 from oracles import strat_adiabatic_limit
@@ -290,6 +290,18 @@ def test_sweep_single_point_and_failure_capture():
     res = sweep(lossy, grid)
     assert res.n_failed == 1
     assert res.values[0] is None and res.values[1] is not None
+
+
+def test_sweep_runs_each_methods_point_route():
+    model = zoo.build("thermal_qubit", gamma=1.0, n=0.4, omega=0.8)
+    grid = FrequencyGrid(axis="imaginary", points=np.array([-0.7, 1.3]))
+    for method, route in METHODS.items():
+        point = route(model)
+        for s, T in zip(grid.s_values(), sweep(model, grid, method=method).values):
+            # the direct sweep solves against its own Schur factor of K
+            assert max_abs(T - point(s)) <= (1e-12 if method == "direct" else 0.0)
+    with pytest.raises(ShapeError, match="method must be one of"):
+        sweep(model, grid, method="schur")
 
 
 def test_rotation_covariance_and_gauge_invariance(rng):

@@ -105,6 +105,17 @@ def test_validate_nonunitary_s_residual():
     assert rep.s_unitarity == pytest.approx(0.19)
 
 
+def test_validate_fails_a_generator_that_overflows():
+    # S and H are fine and every L entry is finite, but L*L overflows to inf
+    cavity = zoo.build("linear_passive", n_max=2)
+    rep = validate(SLHModel(S=cavity.S, L=cavity.L * 1e160, H=cavity.H))
+    assert rep.s_unitarity == 0.0 and rep.h_hermiticity == 0.0
+    assert not rep.k_finite and not rep.passed()
+    assert rep.messages == ("the generator K = -L*L/2 - iH overflows: K is not finite",)
+    # a finite K far from any tolerance still passes: only overflow fails
+    assert validate(SLHModel(S=cavity.S, L=cavity.L * 1e120, H=cavity.H)).passed()
+
+
 def test_k_operator_examples():
     assert max_abs(k_operator(_identity_model())) == 0.0
 

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,6 +28,7 @@ from slhkit import (
     sweep,
 )
 from slhkit import modelfile, zoo
+from slhkit.characteristic import METHODS
 from slhkit.cli import main
 from slhkit.model import field_shape
 from conftest import near_limit_family, random_family, random_model
@@ -749,12 +751,36 @@ def test_cli_zoo_list_and_unicode_params(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_cli_limit_factors_a_ff_once(runner, tmp_path, monkeypatch):
+    # the assumption gate and the limit model share one LU of A_ff
+    path = _write_zoo(runner, tmp_path, "lambda_system", "n_max=2")  # m = 9, 2 slow
+    shapes = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    res = runner.invoke(main, ["limit", str(path), "--emit", str(tmp_path / "slow.json")])
+    assert res.exit_code == 0, res.output
+    assert shapes.count((7, 7)) == 1, shapes
+
+
+def test_cli_eval_method_choices_are_the_method_table():
+    option = next(p for p in main.commands["eval"].params if p.name == "method")
+    assert list(option.type.choices) == list(METHODS)
+
+
 def test_cli_zoo_refuses_non_numeric_parameter(runner):
-    # slow_indices defaults to None and is set only from Python
-    res = runner.invoke(main, ["zoo", "lambda_system", "slow_indices=3"])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)  # not an escaped TypeError
-    assert res.output == "error: cannot parse value for slow_indices: '3'\n"
+    # every zoo parameter is a number; the lambda system's split is not a parameter
+    for arg, message in (("n_max=[0,3]", "cannot parse value for n_max: '[0,3]'"),
+                         ("slow_indices=3",
+                          "unknown parameters for lambda_system: ['slow_indices']")):
+        res = runner.invoke(main, ["zoo", "lambda_system", arg])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # not an escaped TypeError
+        assert res.output == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", zoo.names())
@@ -870,6 +896,9 @@ _CLI_BRANCHES = [
      "assumptions: FAIL"),
     ("check-overflow-family", ["check", "{huge_fam}"], None, 1, "out", "FAIL",
      "K identity R_ss: nan"),
+    # a PASS holds downstream: check fails the slh file whose K eval refuses
+    ("check-overflow-slh", ["check", "{huge}"], None, 1, "out", "FAIL",
+     "  the generator K = -L*L/2 - iH overflows: K is not finite"),
     # the slow model of lambda_system has a pole at s = 0: the limit pencil is singular
     ("limit-study-singular", ["limit", "{fam}", "--study", "10,100", "--s", "0"], None, 2,
      "err", "error: convergence study failed: (s - K(k)) not invertible at k = inf"),
@@ -881,7 +910,7 @@ def cli_files(tmp_path_factory):
     """An slh, family and Stratonovich file, a family that the limit does not
     decouple, a model with S = -I exactly, which has no Stratonovich form, the
     lossless model at phase pi, whose S is -I up to rounding, an slh model
-    whose L entries of 1e160 pass check but overflow K, and a family whose
+    whose L entries of 1e160 overflow K and fail check, and a family whose
     L0 entries of 1e160 overflow K(k) and fail check."""
     tmp = tmp_path_factory.mktemp("cli")
     cavity = zoo.build("linear_passive", n_max=2)

@@ -1,10 +1,13 @@
 """Zoo builders against their closed-form oracles and parameter validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slhkit import (
     BadParam,
+    BlockPartition,
     NoClosedForm,
     char_op,
     dagger,
@@ -51,8 +54,8 @@ def test_parameter_range_validation():
     {"gamma": "abc"},             # float default given a non-number
     {"gamma": 1.0 + 1.0j},
     {"alpha": "0.5"},             # complex default given a non-number
-    {"slow_indices": 3},          # neither None nor a sequence of ints
-    {"slow_indices": (0.0, 1.0)},
+    {"n_max": "2"},               # every parameter is a number, never a string ...
+    {"g": None},                  # ... or None
 ])
 def test_parameter_type_must_fit_its_default(params):
     with pytest.raises(BadParam):
@@ -60,9 +63,13 @@ def test_parameter_type_must_fit_its_default(params):
 
 
 def test_parameter_types_that_fit_their_default_build():
-    fam = zoo.build("lambda_system", gamma=np.float64(1), alpha=1, g=2, n_max=np.int64(2),
-                    slow_indices=[0, 3])
+    fam = zoo.build("lambda_system", gamma=np.float64(1), alpha=1, g=2, n_max=np.int64(2))
     assert fam.partition.slow_indices == (0, 3)
+
+
+def test_lambda_split_is_not_a_parameter():
+    with pytest.raises(BadParam, match=r"unknown parameters for lambda_system: \['slow_indices'\]"):
+        zoo.build("lambda_system", slow_indices=(0, 1))
 
 
 def test_thermal_qubit_coupling_formula():
@@ -91,9 +98,10 @@ def test_lambda_kernel_spans_dark_states():
 
 def test_lambda_explicit_partition_takes_precedence():
     from slhkit import check_assumptions
-    # a user-supplied split overrides kernel discovery, even a poor one;
+    # a split other than the dark states is kept, even a poor one;
     # the assumption report is what flags it
-    fam = zoo.build("lambda_system", n_max=2, slow_indices=(0, 1))
+    fam = dataclasses.replace(zoo.build("lambda_system", n_max=2),
+                              partition=BlockPartition(dim=9, slow_indices=(0, 1)))
     assert fam.partition.slow_indices == (0, 1)
     assert not check_assumptions(fam).passed()
 
