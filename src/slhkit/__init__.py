@@ -55,7 +55,6 @@ from .characteristic import (
     sweep,
     transfer_function,
     unitarity_check,
-    vacuum_expectation,
     vacuum_expectation_char,
 )
 from .stratonovich import (

@@ -9,16 +9,18 @@ axis wherever i*omega lies in the resolvent set of K.  Two alternative
 evaluations exist for cross-validation: the all-pass form built from
 Sigma(s) = L (s + iH)^-1 L*, and the Stratonovich-coefficient form.
 
-Single points go through a condition-guarded LU of (s - K).  A direct
-sweep instead factors K once, K = Z T Z* with T upper triangular (Laub's
-Schur-form frequency response, IEEE TAC 26(2), 1981), and solves each
-point against (s - T): one triangular solve per point, guarded by a LAPACK
-1-norm condition estimate of the triangular factor; a sweep that asks for
-a row/column selection of T(s) solves only for the selected columns.  The
-Schur form is taken per strongly connected component of K's nonzero
-pattern, so entries that are exactly zero in every point's result stay
-exactly zero.  Every route refuses a condition estimate above ``operators.DEFAULT_COND_LIMIT``
-(1e12); no evaluation route takes a limit of its own.
+Every route evaluates D + C (s - A)^-1 B of a realization (A, B, C, D):
+the direct one of (K, -L*S, L, S), which :func:`slhkit.model.abcd` alone
+writes, Sigma(s) of (-iH, L*, L, 0), the Stratonovich X(s) of (-iE00, E0l,
+El0/2, (i/2)Ell).  A point solves s - A through one condition-guarded LU.
+A direct sweep instead factors K = Z T Z* once, T upper triangular (Laub,
+IEEE TAC 26(2), 1981), and per point solves (s - T) against Z* B, guarded
+by a LAPACK 1-norm condition estimate of s - T; a row/column selection of
+T(s) solves only for the selected columns.  The Schur form is taken per
+strongly connected component of K's nonzero pattern, so entries that are
+exactly zero in every point's result stay exactly zero.  Every route
+refuses a condition estimate above ``operators.DEFAULT_COND_LIMIT`` (1e12)
+and takes no limit of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrcon
 
 from .errors import ResolventSingular, ShapeError, SingularMatrix
-from .model import SLHModel, k_operator
+from .model import SLHModel, abcd
 from .operators import (
     DEFAULT_TOL,
     as_matrix,
@@ -58,37 +60,28 @@ def singular_at(s, message=None):
         raise ResolventSingular(s, message, cond_estimate=exc.cond_estimate) from None
 
 
-def resolvent_solve(M, s, B=None) -> np.ndarray:
-    """(sI - M)^-1 B, or (sI - M)^-1 when B is None; ResolventSingular on failure."""
-    M = np.asarray(M, dtype=complex)
-    A = s * np.eye(M.shape[0]) - M
+def _transfer(A, B, C, D, s, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """D[rows][:, cols] + C[rows] (s - A)^-1 B[:, cols]; ResolventSingular at s
+    when the LU of s - A fails the condition guard."""
     with singular_at(s):
-        return inverse(A) if B is None else solve(A, B)
+        X = solve(s * np.eye(A.shape[0]) - A, B[:, cols])
+    return D[rows][:, cols] + C[rows] @ X
 
 
 def char_op(model: SLHModel, s) -> np.ndarray:
     """Direct evaluation T(s) = S - L (s - K)^-1 L* S (nm x nm)."""
-    return _char_op_entries(model, s)
-
-
-def _char_op_entries(model: SLHModel, s, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """T(s)[rows][:, cols] = S[rows][:, cols] - L[rows] (s - K)^-1 (L* S)[:, cols]."""
-    X = resolvent_solve(k_operator(model), s, dagger(model.L) @ model.S[:, cols])
-    return model.S[rows][:, cols] - model.L[rows] @ X
+    return _transfer(*abcd(model), s)
 
 
 def sigma_kernel(model: SLHModel, s) -> np.ndarray:
     """Sigma(s) = L (s + iH)^-1 L*, the all-pass kernel (nm x nm)."""
-    return model.L @ resolvent_solve(-1j * model.H, s) @ dagger(model.L)
+    nm = model.L.shape[0]
+    return _transfer(-1j * model.H, dagger(model.L), model.L, np.zeros((nm, nm)), s)
 
 
 def char_op_allpass(model: SLHModel, s) -> np.ndarray:
     """All-pass evaluation T(s) = (1 - Sigma/2)(1 + Sigma/2)^-1 S (nm x nm)."""
-    Sig = sigma_kernel(model, s)
-    I = np.eye(Sig.shape[0], dtype=complex)
-    with singular_at(s, "(1 + Sigma/2) not invertible"):
-        denom = inverse(I + 0.5 * Sig)
-    return (I - 0.5 * Sig) @ denom @ model.S
+    return _cayley_at(0.5 * sigma_kernel(model, s), s, "(1 + Sigma/2) not invertible") @ model.S
 
 
 def char_op_stratonovich(coeffs, s) -> np.ndarray:
@@ -98,12 +91,16 @@ def char_op_stratonovich(coeffs, s) -> np.ndarray:
     operator is (I - X)(I + X)^-1; its |s| -> infinity limit is the Cayley
     transform of Ell, i.e. the scattering matrix.
     """
-    R = resolvent_solve(-1j * coeffs.E00, s)
-    X = 0.5j * coeffs.Ell + 0.5 * coeffs.El0 @ R @ coeffs.E0l
+    X = _transfer(-1j * coeffs.E00, coeffs.E0l, 0.5 * coeffs.El0, 0.5j * coeffs.Ell, s)
+    return _cayley_at(X, s, "(I + X(s)) not invertible")
+
+
+def _cayley_at(X, s, message) -> np.ndarray:
+    """(I - X)(I + X)^-1; ResolventSingular at s with ``message`` when I + X
+    fails the condition guard."""
     I = np.eye(X.shape[0], dtype=complex)
-    with singular_at(s, "(I + X(s)) not invertible"):
-        denom = inverse(I + X)
-    return (I - X) @ denom
+    with singular_at(s, message):
+        return (I - X) @ inverse(I + X)
 
 
 # The T(s) methods, each as its point route: model -> (s -> nm x nm T(s)).
@@ -117,9 +114,7 @@ METHODS = {
 
 def transfer_function(abcd_matrices, s) -> np.ndarray:
     """Classical transfer function T(s) = D + C (sI - A)^-1 B."""
-    A, B, C, D = (np.asarray(M, dtype=complex) for M in abcd_matrices)
-    R = resolvent_solve(A, s)
-    return D + C @ R @ B
+    return _transfer(*(np.asarray(M, dtype=complex) for M in abcd_matrices), s)
 
 
 def unitarity_check(model: SLHModel, omega: float):
@@ -134,51 +129,33 @@ def _vacuum_indices(size: int, dims, vacuum_modes) -> np.ndarray:
 
     The axis of ``size`` entries is a stack of blocks of ``prod(dims)``
     entries.  Block by block, the kept tensor factors run in C order with
-    every factor in ``vacuum_modes`` held at 0; ShapeError when
-    ``prod(dims)`` does not divide ``size`` or a vacuum mode is not one of
-    its factors.
+    every factor in ``vacuum_modes`` held at 0; ShapeError when a vacuum
+    mode is not one of the factors.
     """
-    dims = tuple(int(d) for d in dims)
-    m = int(np.prod(dims))
-    if min(dims, default=1) < 1 or size % m:
-        raise ShapeError(f"product of dims {dims} must divide the axis length {size}")
     nf = len(dims)
     vacuum_modes = range(nf) if vacuum_modes is None else {int(i) for i in vacuum_modes}
     if not all(0 <= v < nf for v in vacuum_modes):
         raise ShapeError(f"vacuum_modes {sorted(vacuum_modes)} must lie in [0, {nf})")
     idx = [0 if v in vacuum_modes else slice(None) for v in range(nf)]
-    return np.arange(size).reshape(size // m, *dims)[(slice(None), *idx)].ravel()
-
-
-def vacuum_expectation(T, dims, vacuum_modes=None) -> np.ndarray:
-    """Contract selected tensor factors of each plant block with the vacuum.
-
-    ``T`` is a matrix of plant blocks of size ``prod(dims)``, where ``dims``
-    lists the dimension of each tensor factor of the plant space;
-    ``vacuum_modes`` selects which factors are evaluated in <0|...|0>
-    (default: all).  Returns an n x n scalar matrix when every factor is
-    contracted, otherwise a block matrix of operators on the remaining
-    factors.  ShapeError unless ``prod(dims)`` divides both axes of ``T``;
-    a bare array cannot reveal a wrong ``dims`` whose product divides the
-    true block size, so :func:`vacuum_expectation_char` checks against the
-    model's plant dimension instead.
-    """
-    T = np.asarray(T)
-    rows = _vacuum_indices(T.shape[0], dims, vacuum_modes)
-    cols = _vacuum_indices(T.shape[1], dims, vacuum_modes)
-    return T[np.ix_(rows, cols)]
+    return np.arange(size).reshape(-1, *dims)[(slice(None), *idx)].ravel()
 
 
 def vacuum_expectation_char(model: SLHModel, s, dims, vacuum_modes=None) -> np.ndarray:
     """Vacuum matrix elements <0|T(s)_jk|0> of the characteristic operator.
 
-    Only the kept rows and columns of T(s) are formed; ShapeError unless
-    ``prod(dims)`` equals the plant dimension.
+    ``dims`` lists the dimension of each tensor factor of the plant space
+    and ``vacuum_modes`` selects the factors evaluated in <0|...|0>
+    (default: all).  Returns an n x n scalar matrix when every factor is
+    contracted, otherwise a block matrix of operators on the remaining
+    factors.  Only the kept rows and columns of T(s) are formed;
+    ShapeError unless the dims are >= 1 with product the plant dimension.
     """
-    if int(np.prod(dims)) != model.dim:
-        raise ShapeError(f"product of dims {tuple(dims)} must equal the plant dim {model.dim}")
+    dims = tuple(int(d) for d in dims)
+    if min(dims, default=1) < 1 or int(np.prod(dims)) != model.dim:
+        raise ShapeError(f"product of dims {dims} must equal the plant dim {model.dim}, "
+                         f"every dim >= 1")
     keep = _vacuum_indices(model.n_inputs * model.dim, dims, vacuum_modes)
-    return _char_op_entries(model, s, keep, keep)
+    return _transfer(*abcd(model), s, keep, keep)
 
 
 def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> np.ndarray:
@@ -193,13 +170,14 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> np.nd
         raise ShapeError("V must act on the plant space")
     if order < 0:
         raise ShapeError("order must be >= 0")
-    R0 = resolvent_solve(k_operator(model0), s)
-    LS = dagger(model0.L) @ model0.S
-    T = model0.S - model0.L @ R0 @ LS
+    A, B, C, D = abcd(model0)
+    with singular_at(s):
+        R0 = inverse(s * np.eye(model0.dim) - A)
+    T = D + C @ R0 @ B
     W = R0
     for q in range(1, order + 1):
         W = W @ V @ R0
-        T = T - (-1j * lam) ** q * (model0.L @ W @ LS)
+        T = T + (-1j * lam) ** q * (C @ W @ B)
     return T
 
 
@@ -301,11 +279,12 @@ def _block_schur(K):
 def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
     """s -> T(s)[rows][:, cols] against one Schur factor of K.
 
-    T(s)[rows][:, cols] = S[rows][:, cols] - (L Z)[rows] (s - T)^-1 (Z* L* S)[:, cols],
+    With (K, B, C, D) = abcd(model) and K = Z T Z*,
+    T(s)[rows][:, cols] = D[rows][:, cols] + (C Z)[rows] (s - T)^-1 (Z* B)[:, cols],
     so a point costs a triangular solve with one right-hand side per
     selected column.  The default selection is the whole operator.
     """
-    K = k_operator(model)
+    K, B, C, D = abcd(model)
     if not np.isfinite(K).all():  # overflowed: no Schur form, every point refused
 
         def evaluate(s):
@@ -314,9 +293,9 @@ def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
 
         return evaluate
     T, Z = _block_schur(K)
-    LZ = model.L[rows] @ Z
-    W = dagger(Z) @ (dagger(model.L) @ model.S[:, cols])
-    S = model.S[rows][:, cols]
+    CZ = C[rows] @ Z
+    W = dagger(Z) @ B[:, cols]
+    D = D[rows][:, cols]
     # s - T in one array; T is upper triangular, so a point rewrites only the
     # diagonal (ztrcon and solve_triangular read the upper triangle alone)
     A = -T
@@ -329,7 +308,7 @@ def _schur_char_op(model: SLHModel, rows=slice(None), cols=slice(None)):
         with singular_at(s):
             guard_cond(1.0 / rcond if rcond > 0 else np.inf)
         X = scipy.linalg.solve_triangular(A, W, check_finite=False)
-        return S - LZ @ X
+        return D + CZ @ X
 
     return evaluate
 

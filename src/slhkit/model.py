@@ -141,14 +141,9 @@ def k_operator(model: SLHModel) -> np.ndarray:
 
 
 def model_matrix(model: SLHModel) -> np.ndarray:
-    """The (n+1)m x (n+1)m matrix [[K, -L*S], [L, S]] of m x m blocks."""
-    n, m = model.n_inputs, model.dim
-    V = np.zeros(((n + 1) * m, (n + 1) * m), dtype=complex)
-    V[:m, :m] = k_operator(model)
-    V[:m, m:] = -dagger(model.L) @ model.S
-    V[m:, :m] = model.L
-    V[m:, m:] = model.S
-    return V
+    """The (n+1)m x (n+1)m matrix [[A, B], [C, D]] = [[K, -L*S], [L, S]] of :func:`abcd`."""
+    A, B, C, D = abcd(model)
+    return np.block([[A, B], [C, D]])
 
 
 # Largest block Kronecker product series_product forms, in complex entries
@@ -308,7 +303,8 @@ def abcd(model: SLHModel):
     """The matrices (A, B, C, D) of the equivalent linear passive system.
 
     A = K (m x m), B = -L*S (m x nm), C = L (nm x m), D = S (nm x nm),
-    so that A + A* + C*C = 0 and B = -C*D.
+    so that A + A* + C*C = 0 and B = -C*D, and T(s) = D + C (s - A)^-1 B.
+    The one place the package writes this realization.
     """
     A = k_operator(model)
     C = model.L.copy()

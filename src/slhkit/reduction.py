@@ -27,8 +27,8 @@ import numpy as np
 
 from .characteristic import char_op, singular_at
 from .errors import BadParam, ShapeError, SingularMatrix
-from .model import SLHModel, k_operator
-from .operators import DEFAULT_TOL, dagger, inverse, max_abs, worst
+from .model import SLHModel, abcd
+from .operators import DEFAULT_TOL, inverse, max_abs, worst
 
 
 @dataclass(frozen=True)
@@ -181,15 +181,14 @@ def char_blocks(model: SLHModel, partition: BlockPartition, s) -> BlockedOperato
     """Blocks T_ab(s) of the characteristic operator over the partition.
 
     Computed through the Schur-Feshbach resolvent blocks (not by slicing a
-    direct evaluation): T = S - L Dhat (L* S), with Dhat the reassembled
-    Schur-Feshbach blocks of (s - K)^-1, is cut into its slow/fast blocks.
+    direct evaluation): T = D + C Dhat B of abcd(model), with Dhat the
+    reassembled Schur-Feshbach blocks of (s - A)^-1, is cut into its blocks.
     """
     if partition.dim != model.dim:
         raise ShapeError("partition dim must equal the plant dim")
-    Kb = partition_operator(k_operator(model), partition)
-    Dhat = schur_feshbach(Kb, s).assemble(partition)
-    return partition_operator(model.S - model.L @ Dhat @ (dagger(model.L) @ model.S),
-                              partition)
+    A, B, C, D = abcd(model)
+    Dhat = schur_feshbach(partition_operator(A, partition), s).assemble(partition)
+    return partition_operator(D + C @ Dhat @ B, partition)
 
 
 def reassemble_char_blocks(blocks: BlockedOperator, model: SLHModel,

@@ -20,9 +20,11 @@ round trip exactly:
 
 (The sign of El0 differs from one printed source; substituting the printed
 sign back into the forward map yields -L, so the round-trip-consistent sign
-is used here.)  The inverse map refuses S with an eigenvalue at or near -1,
-where max|(S + 1)^-1| exceeds ``DEFAULT_COND_LIMIT``, as CayleySingular;
-Hermiticity is judged at ``DEFAULT_TOL``.
+is used here.)  The inverse map refuses S with an eigenvalue at or near -1
+as CayleySingular: where max|(S + 1)^-1| exceeds ``DEFAULT_COND_LIMIT``,
+and where the rounding loss it predicts, max|(S + 1)^-1|^2 eps, exceeds
+``DEFAULT_TOL`` (a maximum of about 2.1e3); Hermiticity is judged at
+``DEFAULT_TOL``.
 
 Besides the two maps, this module holds the Stratonovich-scaled family
 (E00 = k^2 F00, El0 = k Fl0) and its scattering limit.  It knows nothing of
@@ -102,12 +104,20 @@ def ito_to_stratonovich(model: SLHModel) -> StratonovichCoefficients:
         P = inverse(model.S + I)
         # ||S + 1|| <= 2 for unitary S, so ||(S + 1)^-1|| is its condition; the
         # pivot ratio misses an S + 1 that is uniformly small
-        guard_cond(max_abs(P))
+        p_max = max_abs(P)
+        guard_cond(p_max)
     except SingularMatrix as exc:
         raise CayleySingular(
             f"S + 1 is not invertible (condition estimate "
             f"{exc.cond_estimate:.3e}); no Stratonovich coefficients exist"
         ) from None
+    # the coefficients lose about max|(S + 1)^-1|^2 eps to rounding
+    loss = p_max ** 2 * np.finfo(float).eps
+    if loss > DEFAULT_TOL:
+        raise CayleySingular(
+            f"S + 1 is too near singular for the Stratonovich form: max|(S + 1)^-1| = "
+            f"{p_max:.3e} predicts an error of {loss:.3e} > {DEFAULT_TOL:.1e}"
+        )
     Ell = 2j * (model.S - I) @ P
     El0 = -2j * P @ model.L
     E00 = model.H + 0.25 * dagger(model.L) @ Ell @ model.L

@@ -85,6 +85,18 @@ def near_limit_family():
                            partition=BlockPartition(dim=3, slow_indices=(0,)))
 
 
+def near_minus_one_model(delta, seed=2032):
+    """An m = 3 model whose S has the eigenvalue e^{i(pi - delta)}, delta from -1.
+
+    S = U diag(e^{i(pi - delta)}, e^{0.3i}, e^{1.1i}) U* with a random unitary
+    U, and random L and H; max|(S + 1)^-1| grows as 1/delta.
+    """
+    rng = np.random.default_rng(seed)
+    U = random_unitary(rng, 3)
+    S = U @ np.diag(np.exp(1j * np.array([np.pi - delta, 0.3, 1.1]))) @ dagger(U)
+    return SLHModel(S=S, L=random_complex(rng, 3, 3), H=random_hermitian(rng, 3))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -12,6 +12,7 @@ from slhkit import (
     ResolventSingular,
     SLHModel,
     ShapeError,
+    abcd,
     char_blocks,
     char_op,
     char_op_allpass,
@@ -38,7 +39,6 @@ from slhkit import (
     sweep,
     transfer_function,
     unitarity_check,
-    vacuum_expectation,
     vacuum_expectation_char,
 )
 from slhkit import zoo
@@ -147,6 +147,14 @@ def test_transfer_function_examples():
     assert abs(transfer_function((A, B, C, D), 1e9)[0, 0] - 1.0) <= 1e-8
 
 
+def test_char_op_is_the_transfer_function_of_abcd(rng):
+    # one realization, one point engine: the two calls are the same arithmetic
+    for _ in range(20):
+        model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 7)))
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-3.0, 3.0))
+        assert np.array_equal(char_op(model, s), transfer_function(abcd(model), s))
+
+
 def test_unitarity_on_axis_examples(rng):
     model = zoo.build("lossless", dim=2, n_inputs=1, phase=1.0, h_scale=0.0)
     ok, res = unitarity_check(model, 0.7)
@@ -211,17 +219,16 @@ def _vacuum_reference(data, m, dims, vacuum_modes):
 
 @pytest.mark.parametrize("vacuum_modes", [(0, 1, 2), (0, 2), (1,), ()])
 def test_vacuum_expectation_matches_per_block_contraction(rng, vacuum_modes):
-    dims = (2, 3, 2)
-    data = rng.standard_normal((2 * 12, 3 * 12)) + 1j * rng.standard_normal((2 * 12, 3 * 12))
-    got = vacuum_expectation(data, dims, vacuum_modes)
-    assert np.array_equal(got, _vacuum_reference(data, 12, dims, vacuum_modes))
+    model = random_model(rng, 3, 12)
+    dims, s = (2, 3, 2), 0.6 - 0.4j
+    got = vacuum_expectation_char(model, s, dims, vacuum_modes)
+    want = _vacuum_reference(char_op(model, s), 12, dims, vacuum_modes)
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-14 * max(1.0, max_abs(want))
 
 
 @pytest.mark.parametrize("vacuum_modes", [(2,), (5,), (-1,), (0, 2)])
 def test_vacuum_expectation_rejects_modes_out_of_range(vacuum_modes):
-    T = identity(12)
-    with pytest.raises(ShapeError, match=r"\[0, 2\)"):
-        vacuum_expectation(T, (2, 3), vacuum_modes)
     with pytest.raises(ShapeError, match=r"\[0, 2\)"):
         vacuum_expectation_char(zoo.build("optomech", n_max_cavity=1, n_max_mirror=2),
                                 0.5, (2, 3), vacuum_modes)
@@ -231,12 +238,14 @@ def test_vacuum_expectation_rejects_modes_out_of_range(vacuum_modes):
 def test_vacuum_expectation_char_forms_only_the_vacuum_entries(rng, vacuum_modes):
     model = random_model(rng, 2, 12)
     dims, s = (2, 3, 2), 0.3 + 0.8j
-    whole = vacuum_expectation(char_op(model, s), dims, vacuum_modes)
+    whole = _vacuum_reference(char_op(model, s), 12, dims,
+                              range(3) if vacuum_modes is None else vacuum_modes)
     got = vacuum_expectation_char(model, s, dims, vacuum_modes)
     assert got.shape == whole.shape
     assert max_abs(got - whole) <= 1e-14 * max(1.0, max_abs(whole))
-    with pytest.raises(ShapeError, match="product of dims"):
-        vacuum_expectation_char(model, s, (2, 5), vacuum_modes)
+    for dims in [(2, 5), (-2, -6), (0, 12)]:
+        with pytest.raises(ShapeError, match="product of dims"):
+            vacuum_expectation_char(model, s, dims, vacuum_modes)
 
 
 def test_perturbation_series_examples():
@@ -607,11 +616,6 @@ def test_every_evaluation_returns_a_plain_array():
         assert values, route
         for value in values:
             assert type(value) is np.ndarray and value.shape == shape, route
-    # a bare array carries no block size: vacuum_expectation takes prod(dims),
-    # which must divide both axes
-    for shape, dims in [((12, 12), (5,)), ((12, 18), (4,)), ((18, 12), (2, 2))]:
-        with pytest.raises(ShapeError, match="product of dims"):
-            vacuum_expectation(np.zeros(shape, dtype=complex), dims)
 
 
 def test_every_route_refuses_an_overflowed_generator_pointwise():

@@ -31,7 +31,7 @@ from slhkit import modelfile, zoo
 from slhkit.characteristic import METHODS
 from slhkit.cli import main
 from slhkit.model import field_shape
-from conftest import near_limit_family, random_family, random_model
+from conftest import near_limit_family, near_minus_one_model, random_family, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +855,19 @@ _CLI_BRANCHES = [
     ("eval-near-minus-one-sweep",
      ["eval", "{near_minus}", "--method", "stratonovich", "--sweep", "0:1:3"], None, 2, "err",
      _NEAR_MINUS),
+    # max|(S + 1)^-1| of 5e2 passes the Stratonovich rounding budget, 5e3 does not
+    ("eval-stratonovich-within-budget",
+     ["eval", "{minus_delta3}", "--method", "stratonovich", "--s", "0.4,0.9"], None, 0, "out",
+     "evaluated 1 point(s), 0 singular"),
+    ("eval-stratonovich-past-budget",
+     ["eval", "{minus_delta4}", "--method", "stratonovich", "--s", "0.4,0.9"], None, 2, "err",
+     "error: S + 1 is too near singular for the Stratonovich form: max|(S + 1)^-1| = "),
+    # eval and compose take any realization; check is the validator
+    ("check-invalid", ["check", "{invalid}"], None, 1, "out", "FAIL"),
+    ("eval-invalid", ["eval", "{invalid}", "--s", "1"], None, 0, "out",
+     "evaluated 1 point(s), 0 singular"),
+    ("compose-invalid", ["compose", "{invalid}", "{invalid}", "--out", "{tmp}/ci.json"], None, 0,
+     "out", "wrote {tmp}/ci.json (n_inputs=1, dim=1)"),
     ("eval-out-not-writable", ["eval", "{slh}", "--sweep", "0:1:3", "--out", "{missing}/f.csv"],
      None, 3, "err", _NOT_WRITABLE + "f.csv: "),
     ("eval-plot-not-writable",
@@ -909,7 +922,9 @@ _CLI_BRANCHES = [
 def cli_files(tmp_path_factory):
     """An slh, family and Stratonovich file, a family that the limit does not
     decouple, a model with S = -I exactly, which has no Stratonovich form, the
-    lossless model at phase pi, whose S is -I up to rounding, an slh model
+    lossless model at phase pi, whose S is -I up to rounding, two models with
+    an eigenvalue of S at 1e-3 and 1e-4 from -1, a model that fails check
+    (S = 2, H = i), an slh model
     whose L entries of 1e160 overflow K and fail check, and a family whose
     L0 entries of 1e160 overflow K(k) and fail check."""
     tmp = tmp_path_factory.mktemp("cli")
@@ -922,6 +937,9 @@ def cli_files(tmp_path_factory):
         "coupled": random_family(np.random.default_rng(5), 1, 1, 2),
         "minus": SLHModel(S=-identity(2), L=np.zeros((2, 2)), H=np.diag([0.0, 1.0])),
         "near_minus": zoo.build("lossless", phase=np.pi),
+        "minus_delta3": near_minus_one_model(1e-3),
+        "minus_delta4": near_minus_one_model(1e-4),
+        "invalid": SLHModel(S=[[2.0]], L=[[1.0]], H=[[1j]]),
         "huge": SLHModel(S=cavity.S, L=cavity.L * 1e160, H=cavity.H),
         "huge_fam": dataclasses.replace(two_level, L0=two_level.L0 * 1e160),
     }

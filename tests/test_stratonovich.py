@@ -28,8 +28,8 @@ from slhkit import (
     stratonovich_to_ito,
 )
 from slhkit import operators, zoo
-from conftest import (random_complex, random_family, random_hermitian, random_model,
-                      random_unitary)
+from conftest import (near_minus_one_model, random_complex, random_family, random_hermitian,
+                      random_model, random_unitary)
 from oracles import strat_adiabatic_limit
 
 
@@ -109,6 +109,17 @@ def test_cayley_singular_when_scattering_has_minus_one():
     # S = (-1 + 1.2e-16 i) I: S + 1 is uniformly tiny, so its pivot ratio is 1
     with pytest.raises(CayleySingular, match="condition estimate 8.166e"):
         ito_to_stratonovich(zoo.build("lossless", phase=np.pi))
+
+
+def test_stratonovich_form_refused_once_its_predicted_loss_passes_tol():
+    # the conversion loses about max|(S + 1)^-1|^2 eps; that maximum is 5e2
+    # at delta = 1e-3, within DEFAULT_TOL, and 5e3 at delta = 1e-4, past it
+    s = 0.4 + 0.9j
+    accepted = near_minus_one_model(1e-3)
+    E = ito_to_stratonovich(accepted)
+    assert max_abs(char_op_stratonovich(E, s) - char_op(accepted, s)) <= operators.DEFAULT_TOL
+    with pytest.raises(CayleySingular, match=r"max\|\(S \+ 1\)\^-1\| = \d\.\d+e\+03 predicts"):
+        ito_to_stratonovich(near_minus_one_model(1e-4))
 
 
 def test_cayley_of_hermitian_is_unitary(rng):
