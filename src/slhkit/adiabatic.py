@@ -308,27 +308,22 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     """
     p = _require_assumptions(family, tol)
     sl, fa = p.sl, p.fa
-    # the gate passed, so A_ff's estimate is within AFF_COND_LIMIT
-    Aff_inv = scipy.linalg.lu_solve(p.aff_lu, np.eye(p.m - p.ms, dtype=complex))
     Z_sf, Z_fs = p.Z[sl, fa], p.Z[fa, sl]
     L0s, L1f = p.L0[:, sl], p.L1[:, fa]
+    # solve with the factor the gate passed: Y = A_ff^-1 Z_fs, W = A_ff^-* Z_fs
+    Y = scipy.linalg.lu_solve(p.aff_lu, Z_fs)
+    W = scipy.linalg.lu_solve(p.aff_lu, Z_fs, trans=2)
 
-    Shat = p.S + L1f @ Aff_inv @ dagger(L1f) @ p.S
-    Lhat_slow = L0s - L1f @ Aff_inv @ Z_fs          # nm x ms
-    Hhat_ss = p.H0[sl, sl] + imag_part(Z_sf @ Aff_inv @ Z_fs)
+    Shat = p.S + L1f @ scipy.linalg.lu_solve(p.aff_lu, dagger(L1f) @ p.S)
+    Lhat_slow = L0s - L1f @ Y          # nm x ms
+    Hhat_ss = p.H0[sl, sl] + imag_part(Z_sf @ Y)
     for name, M in (("Shat", Shat), ("Lhat", Lhat_slow), ("Hhat", Hhat_ss)):
         if not np.isfinite(M).all():
             raise BadParam(f"{name} contains non-finite entries")
 
     # Alternative expanded form; the conjugated resolvents are essential.
-    H1_sf, H1_fs = p.H1[sl, fa], p.H1[fa, sl]
-    Aff_inv_star = dagger(Aff_inv)
-    Hhat_alt = (
-        p.H0[sl, sl]
-        - dagger(Z_fs) @ Aff_inv_star @ H1_fs
-        - H1_sf @ Aff_inv @ Z_fs
-        + dagger(Z_fs) @ Aff_inv @ p.H2[fa, fa] @ Aff_inv_star @ Z_fs
-    )
+    Hhat_alt = (p.H0[sl, sl] - dagger(Y) @ p.H1[fa, sl] - p.H1[sl, fa] @ Y
+                + dagger(W) @ p.H2[fa, fa] @ W)
     alt_residual = max_abs(Hhat_ss - Hhat_alt)
 
     slow = np.array(family.partition.slow_indices)
@@ -336,7 +331,6 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
     Lhat[:, slow] = Lhat_slow
     Hhat = np.zeros((p.m, p.m), dtype=complex)
     Hhat[np.ix_(slow, slow)] = Hhat_ss
-    _, shat_res = is_unitary(Shat)
 
     dec_residual = _decoupling_residual(Shat, Lhat, family.partition)
     decoupled = dec_residual <= tol
@@ -345,7 +339,7 @@ def limit_slh(family: ScaledSLHFamily, tol: float = DEFAULT_TOL) -> LimitModel:
         Lhat=Lhat,
         Hhat=Hhat,
         partition=family.partition,
-        shat_unitarity=shat_res,
+        shat_unitarity=is_unitary(Shat)[1],
         hhat_alt_residual=alt_residual,
         decoupling_residual=dec_residual,
         decoupled=decoupled,

@@ -6,8 +6,9 @@ The characteristic operator of an SLH triple is
 
 an n x n matrix of m x m plant operators.  It is unitary on the imaginary
 axis wherever i*omega lies in the resolvent set of K.  Two alternative
-evaluations exist for cross-validation: the all-pass form built from
-Sigma(s) = L (s + iH)^-1 L*, and the Stratonovich-coefficient form.
+evaluations exist for cross-validation, the all-pass form built from
+Sigma(s) = L (s + iH)^-1 L* and the Stratonovich-coefficient form; both end
+in the one Cayley step of :mod:`slhkit.stratonovich`, a guarded solve.
 
 Every route evaluates D + C (s - A)^-1 B of a realization (A, B, C, D):
 the direct one of (K, -L*S, L, S), which :func:`slhkit.model.abcd` alone
@@ -37,14 +38,14 @@ from .errors import ResolventSingular, ShapeError, SingularMatrix
 from .model import SLHModel, abcd
 from .operators import (
     DEFAULT_TOL,
+    _lu_with_cond,
     as_matrix,
     dagger,
     guard_cond,
-    inverse,
     is_unitary,
     solve,
 )
-from .stratonovich import ito_to_stratonovich
+from .stratonovich import _cayley_step, ito_to_stratonovich
 
 
 @contextmanager
@@ -96,11 +97,9 @@ def char_op_stratonovich(coeffs, s) -> np.ndarray:
 
 
 def _cayley_at(X, s, message) -> np.ndarray:
-    """(I - X)(I + X)^-1; ResolventSingular at s with ``message`` when I + X
-    fails the condition guard."""
-    I = np.eye(X.shape[0], dtype=complex)
+    """(I - X)(I + X)^-1; ResolventSingular at s with ``message`` when I + X fails the guard."""
     with singular_at(s, message):
-        return (I - X) @ inverse(I + X)
+        return _cayley_step(X)
 
 
 # The T(s) methods, each as its point route: model -> (s -> nm x nm T(s)).
@@ -163,7 +162,7 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> np.nd
 
     T(s) = T0(s) - sum_{q=1}^{order} (-i lam)^q  L R0 (V R0)^q L* S,
     with R0 = (s - K0)^-1.  Valid for lam small enough that the series
-    converges; the truncation order is explicit.
+    converges; the truncation order is explicit; s - K0 is factored once.
     """
     V = as_matrix(V, "V")
     if V.shape != (model0.dim, model0.dim):
@@ -172,12 +171,13 @@ def perturbation_series(model0: SLHModel, V, lam: float, order: int, s) -> np.nd
         raise ShapeError("order must be >= 0")
     A, B, C, D = abcd(model0)
     with singular_at(s):
-        R0 = inverse(s * np.eye(model0.dim) - A)
-    T = D + C @ R0 @ B
-    W = R0
+        factors, cond = _lu_with_cond(s * np.eye(model0.dim) - A)
+        guard_cond(cond)
+    X = scipy.linalg.lu_solve(factors, B)
+    T = D + C @ X
     for q in range(1, order + 1):
-        W = W @ V @ R0
-        T = T + (-1j * lam) ** q * (C @ W @ B)
+        X = scipy.linalg.lu_solve(factors, V @ X)
+        T = T + (-1j * lam) ** q * (C @ X)
     return T
 
 

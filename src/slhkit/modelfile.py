@@ -192,7 +192,7 @@ def _text_document(text: str):
     pieces.append(text[end:])
     try:
         doc = json.loads("".join(pieces))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(doc, dict):
         return None
@@ -232,7 +232,7 @@ def loads(text: str):
     if doc is None:
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, deep nesting
             raise ModelFileError("document", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError("document", "top level must be an object")
@@ -269,8 +269,12 @@ def loads(text: str):
 
 
 def read_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFileError("document", f"not UTF-8 text: {exc}") from None
+    return loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ map to HP parameters is
     L = i (1 + (i/2) Ell)^-1 El0
     H = E00 + 1/2 Im{ E0l (1 + (i/2) Ell)^-1 El0 }
 
-and is taken as ground truth; the inverse map is derived to satisfy the
-round trip exactly:
+and is taken as ground truth: one guarded solve (1 + (i/2) Ell) [S | Y] =
+[1 - (i/2) Ell | El0], L = iY.  Every Cayley transform in the package is the
+one step ``_cayley_step``.  The inverse map is derived to satisfy the round
+trip exactly:
 
     Ell = 2i (S - 1)(S + 1)^-1
     El0 = -2i (S + 1)^-1 L
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import CayleySingular, InvalidCoefficients, SingularMatrix
 from .model import SLHModel, _check_fields
 from .operators import (DEFAULT_TOL, as_matrix, dagger, guard_cond, imag_part,
-                        inverse, is_hermitian, max_abs, worst)
+                        inverse, is_hermitian, max_abs, solve, worst)
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,15 @@ def coefficients_from_parts(E00, El0, Ell) -> StratonovichCoefficients:
     return StratonovichCoefficients(E00=E00, E0l=dagger(El0), El0=El0, Ell=Ell)
 
 
+def _cayley_step(X) -> np.ndarray:
+    """(I - X)(I + X)^-1 as the guarded solve (I + X)^-1 (I - X); the factors commute."""
+    I = np.eye(X.shape[0], dtype=complex)
+    return solve(I + X, I - X)
+
+
 def cayley(E) -> np.ndarray:
     """Cayley transform (1 - (i/2) E)(1 + (i/2) E)^-1; unitary for Hermitian E."""
-    E = np.asarray(E, dtype=complex)
-    I = np.eye(E.shape[0], dtype=complex)
-    return (I - 0.5j * E) @ inverse(I + 0.5j * E)
+    return _cayley_step(0.5j * np.asarray(E, dtype=complex))
 
 
 def stratonovich_to_ito(coeffs: StratonovichCoefficients) -> SLHModel:
@@ -88,18 +94,15 @@ def stratonovich_to_ito(coeffs: StratonovichCoefficients) -> SLHModel:
             f"coefficients violate Hermiticity requirements: residual {r:.3e}"
         )
     nm = coeffs.Ell.shape[0]
-    I = np.eye(nm, dtype=complex)
-    Winv = inverse(I + 0.5j * coeffs.Ell)
-    S = (I - 0.5j * coeffs.Ell) @ Winv
-    L = 1j * Winv @ coeffs.El0
-    H = coeffs.E00 + 0.5 * imag_part(coeffs.E0l @ Winv @ coeffs.El0)
-    return SLHModel(S=S, L=L, H=H)
+    I, X = np.eye(nm, dtype=complex), 0.5j * coeffs.Ell
+    SY = solve(I + X, np.hstack([I - X, coeffs.El0]))  # (I + X) [S | Y] = [I - X | El0]
+    S, Y = SY[:, :nm], SY[:, nm:]
+    return SLHModel(S=S, L=1j * Y, H=coeffs.E00 + 0.5 * imag_part(coeffs.E0l @ Y))
 
 
 def ito_to_stratonovich(model: SLHModel) -> StratonovichCoefficients:
     """Inverse map (S, L, H) -> E; fails when S has an eigenvalue at or near -1."""
-    nm = model.n_inputs * model.dim
-    I = np.eye(nm, dtype=complex)
+    I = np.eye(model.S.shape[0], dtype=complex)
     try:
         P = inverse(model.S + I)
         # ||S + 1|| <= 2 for unitary S, so ||(S + 1)^-1|| is its condition; the
@@ -169,6 +172,5 @@ def strat_scaling_limit(family: StratScaledFamily) -> np.ndarray:
     Ell_hat = Fll - Fl0 F00^-1 F0l; it is s-independent (a pure scattering
     model, the high-energy strong-damping regime).
     """
-    F00inv = inverse(family.F00)
-    Ehat = family.Fll - family.Fl0 @ F00inv @ dagger(family.Fl0)
+    Ehat = family.Fll - family.Fl0 @ solve(family.F00, dagger(family.Fl0))
     return cayley(Ehat)

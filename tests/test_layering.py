@@ -80,3 +80,37 @@ def test_one_default_tolerance_and_no_other_tolerance_parameters():
                 assert qualname in _TOL_RECEIVERS, f"{qualname} takes {params}"
                 receivers.add(qualname)
     assert receivers == _TOL_RECEIVERS  # the walk sees every --tol receiver
+
+
+# the two functions whose results need an explicit inverse: the blocks of an
+# inverse, and the Stratonovich guard that reads max|(S + 1)^-1|
+_INVERSE_CALLERS = {"reduction.block_inverse", "stratonovich.ito_to_stratonovich"}
+
+
+def _calls(node, where):
+    """(qualified name of the enclosing function, class or module, call) of every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def _callee(call):
+    """The called name: f of f(...) and of x.f(...)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_no_route_forms_an_inverse_only_to_multiply_it():
+    callers = set()
+    for name, tree in _modules().items():
+        for where, call in _calls(tree, name):
+            if _callee(call) == "inverse":
+                callers.add(where)
+            if _callee(call) == "lu_solve":
+                eye = [arg for arg in call.args + [kw.value for kw in call.keywords]
+                       if isinstance(arg, ast.Call) and _callee(arg) == "eye"]
+                assert not eye, f"{where} solves against an identity at line {call.lineno}"
+    assert callers == _INVERSE_CALLERS  # solve with the factor a route holds instead

@@ -95,6 +95,8 @@ def test_stratonovich_round_trip(rng, tmp_path):
 
 _PAIRS = "entries must be [re, im] pairs"
 _ROWS = "rows must be lists of equal length"
+_TOO_DEEP = ("not valid JSON: maximum recursion depth exceeded "
+             "while decoding a JSON array from a unicode string")
 
 
 def _h2(rows):
@@ -123,6 +125,9 @@ def test_parse_errors_name_field_and_index(tmp_path):
         (_h2([[[0.5, 0.0], [0.0, 0.0]], []]), "H", 1, _ROWS),
         (_h2([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 10 ** 400], [1.5, 0.0]]]), "H", (1, 0),
          "entry exceeds the float range"),
+        # nesting past the JSON reader's recursion limit is the document's defect
+        ('{"kind":"slh","n_inputs":1,"dim":1,"S":' + "[" * 200_000 + "]" * 200_000
+         + ',"L":[[[0,0]]],"H":[[[0,0]]]}', "document", None, _TOO_DEEP),
     ]
     for text, field, index, message in cases:
         with pytest.raises(modelfile.ModelFileError) as err:
@@ -830,6 +835,10 @@ _NEAR_MINUS = ("error: S + 1 is not invertible (condition estimate 8.166e+15); "
 _CLI_BRANCHES = [
     ("check-stratonovich", ["check", "{strat}"], None, 0, "out",
      "kind: stratonovich  n_inputs=1 dim=2"),
+    ("check-not-utf8", ["check", "{not_utf8}"], None, 1, "err",
+     "error: {not_utf8}: document: not UTF-8 text: "),
+    ("check-nested-too-deep", ["check", "{too_deep}"], None, 1, "err",
+     "error: {too_deep}: document: " + _TOO_DEEP),
     ("eval-family", ["eval", "{fam}", "--s", "1"], None, 1, "err",
      "error: eval needs an slh or stratonovich file; use 'limit' for families"),
     ("eval-s-and-sweep", ["eval", "{slh}", "--s", "1", "--sweep", "0:1:3"], None, 1, "err",
@@ -926,7 +935,8 @@ def cli_files(tmp_path_factory):
     an eigenvalue of S at 1e-3 and 1e-4 from -1, a model that fails check
     (S = 2, H = i), an slh model
     whose L entries of 1e160 overflow K and fail check, and a family whose
-    L0 entries of 1e160 overflow K(k) and fail check."""
+    L0 entries of 1e160 overflow K(k) and fail check; then two files that are
+    not model text: bytes that are not UTF-8, and arrays nested 200,000 deep."""
     tmp = tmp_path_factory.mktemp("cli")
     cavity = zoo.build("linear_passive", n_max=2)
     two_level = zoo.build("detuned_two_level")
@@ -947,6 +957,11 @@ def cli_files(tmp_path_factory):
     for name, obj in objects.items():
         paths[name] = str(tmp / f"{name}.json")
         modelfile.write_model(paths[name], obj)
+    deep = "[" * 200_000 + "]" * 200_000
+    for name, data in (("not_utf8", b"\xff\xfe\x00{"),
+                       ("too_deep", f'{{"kind":"slh","x":{deep}}}'.encode())):
+        paths[name] = str(tmp / f"{name}.json")
+        Path(paths[name]).write_bytes(data)
     return paths
 
 

@@ -122,6 +122,15 @@ def test_stratonovich_form_refused_once_its_predicted_loss_passes_tol():
         ito_to_stratonovich(near_minus_one_model(1e-4))
 
 
+@pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3])
+def test_round_trip_recovers_h_near_minus_one(delta):
+    # the inverse map's loss grows as max|(S + 1)^-1|^2; the forward map must
+    # add no loss of its own, so H comes back within 1e-11 up to delta = 1e-3
+    model = near_minus_one_model(delta)
+    back = stratonovich_to_ito(ito_to_stratonovich(model))
+    assert max_abs(back.H - model.H) <= 1e-11
+
+
 def test_cayley_of_hermitian_is_unitary(rng):
     for _ in range(10):
         E = random_hermitian(rng, int(rng.integers(1, 6)))
